@@ -45,6 +45,8 @@ from .multiplex import (
     symmetric_rate_asymptotic,
     symmetric_rate_mc,
     symmetric_rate_surrogate,
+    zf_beams,
+    zf_stats,
 )
 from .results import RateEstimate
 from .selection import (
@@ -93,5 +95,7 @@ __all__ = [
     "symmetric_rate_mc",
     "symmetric_rate_surrogate",
     "transmissions",
+    "zf_beams",
+    "zf_stats",
     "__version__",
 ]

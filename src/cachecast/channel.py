@@ -96,9 +96,10 @@ class ChannelDraw:
 
 
 def _complex_normal(gen: np.random.Generator, shape: tuple, var: float) -> np.ndarray:
+    # (real, imag) pairs scaled in place and read as complex: no temporaries
     parts = gen.standard_normal(size=shape + (2,))
-    scale = math.sqrt(var / 2.0)
-    return (parts[..., 0] + 1j * parts[..., 1]) * scale
+    parts *= math.sqrt(var / 2.0)
+    return parts.view(np.complex128)[..., 0]
 
 
 def draw_channel_batch(

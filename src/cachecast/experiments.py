@@ -403,7 +403,7 @@ def run_property_suite(seed: int = 42) -> PropertySuiteReport:
 
     # leaked interference has the predicted mean (K-1) sigma2
     cfg = SystemConfig(num_users=16, num_tx_antennas=32, total_power=16.0, csit_error_var=0.3)
-    _, _, inter = multiplex._zf_batch_stats(cfg, base.derive(4).generator(), 2_000)
+    _, _, inter = multiplex.zf_stats(cfg, base.derive(4).generator(), 2_000)
     ratio = float(inter.mean()) / ((cfg.num_users - 1) * cfg.csit_error_var)
     se = float(inter.std(ddof=1)) / (
         (cfg.num_users - 1) * cfg.csit_error_var * math.sqrt(inter.size)

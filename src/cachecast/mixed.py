@@ -17,7 +17,7 @@ import numpy as np
 from .caching import delivery_rate_multicast, delivery_rate_unicast, transmissions
 from .channel import RngStream, SystemConfig, batch_counts, scalars_per_draw
 from .mathx import DEFAULT_TOL, ToleranceSpec, maximize_1d
-from .multiplex import _zf_batch_stats, symmetric_rate_mc
+from .multiplex import symmetric_rate_mc, zf_stats
 from .results import RateEstimate
 
 __all__ = [
@@ -152,7 +152,7 @@ def mixed_rates_mc(
     private = np.empty(samples, dtype=np.float64)
     pos = 0
     for n in batch_counts(samples, scalars_per_draw(cfg)):
-        norm2, g2, inter = _zf_batch_stats(cfg, gen, n)
+        norm2, g2, inter = zf_stats(cfg, gen, n)
         c, p = _mixed_batch_values(split, cfg.num_tx_antennas, norm2, g2, inter)
         common[pos : pos + n] = c
         private[pos : pos + n] = p
@@ -229,7 +229,7 @@ def optimal_split_numeric(
     gen = rng.generator()
     chunks = [[], [], []]
     for n in batch_counts(samples, scalars_per_draw(cfg)):
-        for store, arr in zip(chunks, _zf_batch_stats(cfg, gen, n)):
+        for store, arr in zip(chunks, zf_stats(cfg, gen, n)):
             store.append(arr)
     norm2, g2, inter = (np.concatenate(c, axis=0) for c in chunks)
 

@@ -2,8 +2,12 @@
 
 Each private beam is forced into the null space of the other users'
 *estimated* channels, so residual interference comes only from the
-estimation error.  The exact Monte-Carlo path, a distributional surrogate
-for the symmetric SINR, and the large-system closed form are all exposed.
+estimation error.  One batched kernel, `zf_beams`, builds the beams for a
+whole stack of draws: an LU inverse when nt = K, a QR of est^H when
+nt > K.  It also returns each user's gain through its own beam, so the
+per-draw statistics need only the error seen through the beams.  The exact
+Monte-Carlo path, a distributional surrogate for the symmetric SINR, and
+the large-system closed form are all exposed.
 """
 
 from __future__ import annotations
@@ -27,16 +31,18 @@ from .results import RateEstimate
 
 __all__ = [
     "ZfPrecoder",
-    "SinrSample",
     "AsymptoticSymmetricRate",
+    "zf_beams",
+    "zf_stats",
     "build_zf_precoder",
     "symmetric_rate_mc",
     "symmetric_rate_surrogate",
     "symmetric_rate_asymptotic",
 ]
 
-# cross-talk above this (relative) level means the estimate rows were
-# numerically dependent and the null-space projection is meaningless
+# a gain below this fraction of the largest estimate entry means the
+# estimate rows were numerically dependent and the null-space projection is
+# meaningless
 _RANK_RTOL = 1e-10
 
 
@@ -49,24 +55,6 @@ class ZfPrecoder:
 
 
 @dataclass(frozen=True)
-class SinrSample:
-    signal_gain: float
-    interference: float
-    sinr: float
-
-    @classmethod
-    def from_gains(
-        cls,
-        signal_gain: float,
-        interference: float,
-        signal_power: float,
-        interference_power: float,
-    ) -> "SinrSample":
-        sinr = signal_gain * signal_power / (1.0 + interference * interference_power)
-        return cls(signal_gain=signal_gain, interference=interference, sinr=sinr)
-
-
-@dataclass(frozen=True)
 class AsymptoticSymmetricRate:
     """Large-system symmetric rate with the case-selecting proxy recorded."""
 
@@ -76,67 +64,88 @@ class AsymptoticSymmetricRate:
     extrapolated: bool  # nt == K sits outside the nt/K > 1 guarantee
 
 
-def build_zf_precoder(est_h: np.ndarray) -> ZfPrecoder:
-    """Beamformers w_k from the estimated channel matrix (K rows of length nt).
+def _conj_t(a: np.ndarray) -> np.ndarray:
+    return np.conj(np.swapaxes(a, -1, -2))
 
-    w_k is the unit-norm projection of conj(est_h[k]) onto the orthogonal
-    complement of the other conjugated rows, obtained from a full QR of the
-    stacked other-rows; H_l^T w_k = 0 for l != k by construction.
+
+def zf_beams(est: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Zero-forcing beams for a stack of estimated channels (..., K, nt).
+
+    Returns unit-norm beams w (..., nt, K) and real positive gains
+    (..., K) with est @ w == diag(gain) up to rounding.  Beam w_k is the
+    unit-norm projection of conj(est[k]) off the span of the other users'
+    conjugated rows, i.e. the normalized k-th column of the right inverse
+    est^H (est est^H)^-1.  With nt = K that inverse is est^-1 (LU).  With
+    nt > K it is Q R^-H for the reduced QR est^H = Q R, which avoids the
+    Gram matrix est est^H and so does not square the condition number.
+    Raises ValueError when nt < K or when some draw's rows are numerically
+    dependent (a gain below _RANK_RTOL times that draw's largest entry).
     """
-    est_h = np.asarray(est_h, dtype=np.complex128)
-    K, nt = est_h.shape
+    est = np.asarray(est, dtype=np.complex128)
+    K, nt = est.shape[-2:]
     if nt < K:
         raise ValueError("zero forcing requires num_tx_antennas >= num_users")
-    scale = float(np.abs(est_h).max())
-    if scale == 0.0:
-        raise ValueError("estimated channel matrix is zero")
-    cols = np.empty((nt, K), dtype=np.complex128)
-    alphas = np.empty(K, dtype=np.float64)
-    for k in range(K):
-        target = est_h[k].conj()
-        if K == 1:
-            proj = target
+    try:
+        if nt == K:
+            w = np.linalg.inv(est)
         else:
-            others = np.delete(est_h, k, axis=0).conj().T  # (nt, K-1)
-            q, r = np.linalg.qr(others, mode="complete")
-            if np.abs(np.diagonal(r)).min() < _RANK_RTOL * scale:
-                raise ValueError("estimated rows are numerically rank deficient")
-            basis = q[:, K - 1 :]
-            proj = basis @ (basis.conj().T @ target)
-        norm = float(np.linalg.norm(proj))
-        if norm < _RANK_RTOL * scale:
-            raise ValueError("estimated rows are numerically rank deficient")
-        alphas[k] = 1.0 / norm
-        cols[:, k] = alphas[k] * proj
-    return ZfPrecoder(columns=cols, normalizers=alphas)
+            q, r = np.linalg.qr(_conj_t(est))
+            w = q @ _conj_t(np.linalg.inv(r))
+    except np.linalg.LinAlgError as exc:
+        raise ValueError("estimated rows are numerically rank deficient") from exc
+    gain = 1.0 / np.linalg.norm(w, axis=-2)
+    scale = np.abs(est).max(axis=(-2, -1))
+    if np.any(gain < _RANK_RTOL * scale[..., None]):
+        raise ValueError("estimated rows are numerically rank deficient")
+    w *= gain[..., None, :]
+    return w, gain
 
 
-def _zf_batch_stats(
+def build_zf_precoder(est_h: np.ndarray) -> ZfPrecoder:
+    """Beamformers w_k from one estimated channel matrix (K rows of length nt).
+
+    `zf_beams` on a single matrix: est_h @ columns is diagonal, and
+    normalizers[k] = 1 / gain_k scales the projection of conj(est_h[k])
+    off the other rows (whose norm is gain_k) to the unit-norm beam.
+    """
+    est_h = np.asarray(est_h, dtype=np.complex128)
+    if est_h.ndim != 2:
+        raise ValueError("estimated channel must be a (K, nt) matrix")
+    w, gain = zf_beams(est_h)
+    return ZfPrecoder(columns=w, normalizers=1.0 / gain)
+
+
+def zf_stats(
     cfg: SystemConfig, gen: np.random.Generator, n: int
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Per-draw (||H_k||^2, |G_k|^2, sum_{l!=k}|Gt_{k,l}|^2), each (n, K).
 
-    Uses the pseudo-inverse form of the per-user null-space projections
-    (identical beams up to normalization, much cheaper than K QR passes).
-    When the estimate carries no information (sigma2 = 1) the beams are
-    drawn from an auxiliary isotropic matrix, consumed after the channel
-    batch so the channel stream position stays a function of (cfg, n).
+    G = H @ W is the true channel seen through the beams.  As H = est + err
+    and est @ W = diag(gain), G = diag(gain) + Gt with Gt = err @ W: the
+    signal gain is |gain_k + Gt_kk|^2 and the interference is the
+    off-diagonal energy of Gt.  With perfect CSIT (sigma2 = 0) Gt is zero,
+    so it is not formed.  When the estimate carries no information
+    (sigma2 = 1) the beams are built from an auxiliary isotropic matrix,
+    drawn after the channel batch so the channel stream position stays a
+    function of (cfg, n), and the signal term is Gt_kk alone.
     """
     true, est, err = draw_channel_batch(cfg, gen, n)
     h = true[:, 0]
-    e = err[:, 0]
-    a = est[:, 0]
-    if cfg.csit_error_var == 1.0:
-        a = _complex_normal(gen, h.shape, 1.0)
-    w = np.linalg.pinv(a)  # (n, nt, K)
-    w /= np.linalg.norm(w, axis=1, keepdims=True)
+    norm2 = squared_row_norms(h)
+    s2 = cfg.csit_error_var
+    if s2 == 1.0:
+        w, _ = zf_beams(_complex_normal(gen, h.shape, 1.0))
+        gain = 0.0
+    else:
+        w, gain = zf_beams(est[:, 0])
+    if s2 == 0.0:
+        return norm2, gain**2, np.zeros_like(gain)
     idx = np.arange(cfg.num_users)
-    g = h @ w
-    g2 = np.abs(g[:, idx, idx]) ** 2
-    gt = e @ w
+    gt = err[:, 0] @ w
+    g = gain + gt[:, idx, idx]
     gt2 = gt.real * gt.real + gt.imag * gt.imag
     inter = gt2.sum(axis=2) - gt2[:, idx, idx]
-    return squared_row_norms(h), g2, inter
+    return norm2, g.real * g.real + g.imag * g.imag, inter
 
 
 def symmetric_rate_mc(cfg: SystemConfig, rng: RngStream, samples: int) -> RateEstimate:
@@ -154,7 +163,7 @@ def symmetric_rate_mc(cfg: SystemConfig, rng: RngStream, samples: int) -> RateEs
     values = np.empty(samples, dtype=np.float64)
     pos = 0
     for n in batch_counts(samples, scalars_per_draw(cfg)):
-        _, g2, inter = _zf_batch_stats(cfg, gen, n)
+        _, g2, inter = zf_stats(cfg, gen, n)
         values[pos : pos + n] = np.log1p(g2 * p / (1.0 + inter * p)).mean(axis=1)
         pos += n
     return RateEstimate.from_values(values, seed=rng.seed)

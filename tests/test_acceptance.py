@@ -23,10 +23,10 @@ from cachecast.mixed import (
 )
 from cachecast.multicast import avg_rate_parallel, avg_rate_quasistatic, extreme_value_scale
 from cachecast.multiplex import (
-    _zf_batch_stats,
     build_zf_precoder,
     symmetric_rate_asymptotic,
     symmetric_rate_mc,
+    zf_stats,
 )
 from cachecast.selection import (
     empirical_optimal_threshold,
@@ -147,11 +147,11 @@ def test_criterion_07_zero_forcing_correctness():
             np.fill_diagonal(cross, 0.0)
             worst = max(worst, float(np.abs(cross).max() / np.abs(est).max()))
     cfg = SystemConfig(num_users=4, num_tx_antennas=8, total_power=4.0)
-    _, g2, _ = _zf_batch_stats(cfg, RngStream(SEED).derive(30).generator(), 10_000)
+    _, g2, _ = zf_stats(cfg, RngStream(SEED).derive(30).generator(), 10_000)
     shape = 8 - 4 + 1
     ks = stats.kstest(g2[:, 0], lambda x: stats.gamma.cdf(x, a=shape)).statistic
     noisy = SystemConfig(num_users=8, num_tx_antennas=16, total_power=8.0, csit_error_var=0.4)
-    _, _, inter = _zf_batch_stats(noisy, RngStream(SEED).derive(31).generator(), 10_000)
+    _, _, inter = zf_stats(noisy, RngStream(SEED).derive(31).generator(), 10_000)
     scaled = inter / ((8 - 1) * 0.4)
     dev = abs(scaled.mean() - 1.0)
     se = scaled.std(ddof=1) / math.sqrt(scaled.size)

@@ -1,9 +1,12 @@
+import math
+
 import numpy as np
 import pytest
 
 from cachecast.channel import (
     RngStream,
     SystemConfig,
+    _complex_normal,
     batch_counts,
     draw_channel,
     draw_channel_batch,
@@ -32,6 +35,17 @@ def test_split_holds_bit_exactly():
     cfg = SystemConfig(num_users=3, num_tx_antennas=4, total_power=5.0, csit_error_var=0.3)
     draw = draw_channel(cfg, RngStream(1))
     np.testing.assert_array_equal(draw.true_h, draw.est_h + draw.err_h)
+
+
+@pytest.mark.parametrize("shape", [(1,), (7, 3), (4, 1, 5, 6)])
+@pytest.mark.parametrize("var", [1.0, 0.3])
+def test_complex_normal_matches_reference_formula_bit_for_bit(shape, var):
+    out = _complex_normal(RngStream(5).generator(), shape, var)
+    p = RngStream(5).generator().standard_normal(size=shape + (2,))
+    ref = (p[..., 0] + 1j * p[..., 1]) * math.sqrt(var / 2.0)
+    assert out.shape == shape and out.dtype == np.complex128
+    assert np.array_equal(out.view(np.float64), ref.view(np.float64))
+    assert np.array_equal(out.view(np.uint64), ref.view(np.uint64))
 
 
 def test_degenerate_error_variances():

@@ -14,6 +14,7 @@ from cachecast.experiments import (
     linear_to_db,
     run_fig1,
     run_fig2,
+    run_fig3_4_5,
     run_property_suite,
 )
 
@@ -74,6 +75,17 @@ def test_fig2_closed_column_constant_in_k():
     assert closed[0] == closed[1]
     empirical = [r.mean_nats for r in res.rows if r.scheme == "threshold_empirical"]
     assert all(v > 0 for v in empirical)
+
+
+def test_fig3_point_rows_and_determinism():
+    a = run_fig3_4_5(seed=3, samples=8, p_db_grid=(10.0,), m_grid=(0.1,))
+    b = run_fig3_4_5(seed=3, samples=8, p_db_grid=(10.0,), m_grid=(0.1,))
+    assert a == b
+    assert sorted(r.scheme for r in a.rows) == ["mixed_opt", "multicast", "multiplex"]
+    for r in a.rows:
+        assert math.isfinite(r.mean_nats) and math.isfinite(r.std_err)
+        assert 0.0 <= r.P0_frac <= 1.0
+        assert (r.K, r.nt, r.P_dB, r.m, r.samples) == (100, 100, 10.0, 0.1, 8)
 
 
 def test_property_suite_passes_on_reference_seed():

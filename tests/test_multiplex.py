@@ -4,13 +4,14 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from cachecast.channel import RngStream, SystemConfig, _complex_normal
+from cachecast.channel import RngStream, SystemConfig, _complex_normal, draw_channel_batch
 from cachecast.multiplex import (
-    _zf_batch_stats,
     build_zf_precoder,
     symmetric_rate_asymptotic,
     symmetric_rate_mc,
     symmetric_rate_surrogate,
+    zf_beams,
+    zf_stats,
 )
 
 
@@ -49,10 +50,59 @@ def test_rank_deficiency_raises():
         build_zf_precoder(np.ones((3, 2), dtype=complex))  # more users than antennas
 
 
+@pytest.mark.parametrize("shape", [(40, 8, 8), (4, 100, 100), (40, 8, 16), (10, 32, 64)])
+def test_zf_beams_match_normalized_pinv(shape):
+    est = _complex_normal(RngStream(41).generator(), shape, 1.0)
+    w, gain = zf_beams(est)
+    ref = np.linalg.pinv(est)
+    ref_norms = np.linalg.norm(ref, axis=-2)
+    ref /= ref_norms[..., None, :]
+    assert np.abs(w - ref).max() <= 1e-10 * np.abs(ref).max()
+    np.testing.assert_allclose(gain, 1.0 / ref_norms, rtol=1e-10)
+    cross = est @ w
+    idx = np.arange(shape[1])
+    np.testing.assert_allclose(cross[:, idx, idx], gain, rtol=1e-12)
+    cross[:, idx, idx] = 0.0
+    scale = np.abs(est).max(axis=(1, 2))
+    assert np.all(np.abs(cross).max(axis=(1, 2)) <= 1e-12 * scale)
+
+
+@pytest.mark.parametrize("shape", [(5, 4, 4), (5, 4, 8)])
+@pytest.mark.parametrize("eps", [0.0, 1e-13])
+def test_zf_beams_rank_deficient_draw_raises(shape, eps):
+    # one draw with dependent rows: exactly (the factorization fails) or up
+    # to rounding (the factorization succeeds but the gain collapses)
+    est = _complex_normal(RngStream(42).generator(), shape, 1.0)
+    est[3, 2] = 2.0 * est[3, 1] + eps * est[3, 0]
+    with pytest.raises(ValueError):
+        zf_beams(est)
+    zf_beams(np.delete(est, 3, axis=0))  # the other draws are fine
+
+
+def test_zf_stats_perfect_csit_reads_gain_from_kernel():
+    scenario = cfg(8, 8, 8.0)
+    _, g2, inter = zf_stats(scenario, RngStream(43).generator(), 200)
+    _, est, _ = draw_channel_batch(scenario, RngStream(43).generator(), 200)
+    _, gain = zf_beams(est[:, 0])
+    assert np.all(inter == 0.0)
+    assert np.array_equal(g2, gain**2)
+
+
+def test_zf_stats_blind_estimate():
+    # sigma2 = 1: beams independent of the channel, so G_kk ~ CN(0, 1) and
+    # the leakage is a sum of K - 1 unit exponentials
+    K = 8
+    _, g2, inter = zf_stats(cfg(K, K, 8.0, s2=1.0), RngStream(44).generator(), 4_000)
+    assert stats.kstest(g2.ravel(), stats.expon.cdf).statistic < 0.02
+    for values, target in ((g2, 1.0), (inter, K - 1.0)):
+        se = values.std(ddof=1) / math.sqrt(values.size)
+        assert abs(values.mean() - target) < 4 * se
+
+
 def test_signal_gain_distribution_perfect_csit():
     # |G_k|^2 ~ Gamma(nt-K+1, 1) when the estimate is exact
     scenario = cfg(4, 8, 4.0)
-    _, g2, inter = _zf_batch_stats(scenario, RngStream(33).generator(), 10_000)
+    _, g2, inter = zf_stats(scenario, RngStream(33).generator(), 10_000)
     assert np.all(inter == 0.0)
     shape = 8 - 4 + 1
     ks = stats.kstest(g2[:, 0], lambda x: stats.gamma.cdf(x, a=shape))
@@ -61,7 +111,7 @@ def test_signal_gain_distribution_perfect_csit():
 
 def test_interference_mean():
     scenario = cfg(16, 32, 16.0, s2=0.3)
-    _, _, inter = _zf_batch_stats(scenario, RngStream(34).generator(), 4_000)
+    _, _, inter = zf_stats(scenario, RngStream(34).generator(), 4_000)
     target = (16 - 1) * 0.3
     se = inter.std(ddof=1) / math.sqrt(inter.size)
     assert abs(inter.mean() - target) < 3 * se
