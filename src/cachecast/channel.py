@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Tuple
+from typing import Callable, Iterator, Tuple, Union
 
 import numpy as np
 
@@ -29,6 +29,7 @@ __all__ = [
     "squared_row_norms",
     "scalars_per_draw",
     "batch_counts",
+    "sample_batches",
 ]
 
 PLACEMENTS = ("centralized", "decentralized")
@@ -162,6 +163,26 @@ def batch_counts(samples: int, scalars_per_sample: int) -> Iterator[int]:
         left -= n
 
 
+def sample_batches(
+    rng: RngStream,
+    samples: int,
+    scalars_per_sample: int,
+    draw: Callable[[np.random.Generator, int], Union[np.ndarray, tuple]],
+) -> Union[np.ndarray, tuple]:
+    """Run draw(gen, n) over the batch partition of `samples` on one generator.
+
+    The one batch loop of every Monte-Carlo estimator.  `draw` returns an
+    array, or a tuple of arrays, with n rows; the batches are concatenated
+    along axis 0 in draw order, so reducing the result is bit-identical to
+    reducing each batch row by row.
+    """
+    gen = rng.generator()
+    parts = [draw(gen, n) for n in batch_counts(samples, scalars_per_sample)]
+    if isinstance(parts[0], tuple):
+        return tuple(np.concatenate(arrs, axis=0) for arrs in zip(*parts))
+    return np.concatenate(parts, axis=0)
+
+
 def min_norm_statistic(
     nt: int,
     num_users: int,
@@ -178,15 +199,13 @@ def min_norm_statistic(
     """
     if nt < 1 or num_users < 1:
         raise ValueError("nt and num_users must be >= 1")
-    gen = rng.generator()
-    mins = np.empty(samples, dtype=np.float64)
-    pos = 0
-    for n in batch_counts(samples, num_users * nt):
+
+    def draw(gen: np.random.Generator, n: int) -> np.ndarray:
         # leading antenna axis: reducing over it is contiguous and cheap
         draws = gen.standard_exponential((nt, n, num_users), dtype=dtype)
-        batch = draws.sum(axis=0).min(axis=1) / nt
-        mins[pos : pos + n] = batch
-        pos += n
+        return draws.sum(axis=0).min(axis=1) / nt
+
+    mins = sample_batches(rng, samples, num_users * nt, draw)
     return RateEstimate.from_values(mins, seed=rng.seed)
 
 

@@ -12,7 +12,7 @@ import json
 import sys
 from typing import Optional
 
-from . import mixed, selection
+from . import caching, mixed, multicast, multiplex, selection
 from .channel import RngStream, SystemConfig
 from .experiments import (
     FIG345_M_GRID,
@@ -53,7 +53,8 @@ def build_parser() -> argparse.ArgumentParser:
         cmd.add_argument("--samples", type=int, default=None)
         cmd.add_argument("--out", type=str, default=None)
         cmd.add_argument("--format", choices=("csv", "json"), default="csv")
-        cmd.add_argument("--workers", type=int, default=1)
+        if name in ("fig3", "fig4", "fig5"):
+            cmd.add_argument("--workers", type=int, default=1)
     return parser
 
 
@@ -97,8 +98,6 @@ def _sweep_config(cfg: dict, seed: int, samples: Optional[int]) -> SweepResult:
                 csit_error_var=float(sigma2) if sigma2 is not None else 0.0,
                 placement=cfg.get("placement", "decentralized"),
             )
-            from . import caching, multicast, multiplex
-
             sub = RngStream(seed).derive(idx)
             idx += 1
             if scheme == "multicast":
@@ -142,7 +141,6 @@ def _run(args: argparse.Namespace) -> int:
             k_grid=cfg.get("K", (50, 100, 200, 400, 800)),
             p_db_grid=cfg.get("P_dB", (30.0, 40.0)),
             m=float(cfg.get("m", 0.05)),
-            workers=args.workers,
         )
         _emit(result, args.out, args.format)
         return 0
@@ -153,7 +151,6 @@ def _run(args: argparse.Namespace) -> int:
             k_grid=cfg.get("K", (100, 1_000, 10_000)),
             p_db_grid=cfg.get("P_dB", (30.0, 40.0, 50.0)),
             m=float(cfg.get("m", 0.05)),
-            workers=args.workers,
         )
         _emit(result, args.out, args.format)
         return 0

@@ -164,7 +164,6 @@ def run_fig1(
     k_grid: Sequence[int] = FIG1_K_GRID,
     p_db_grid: Sequence[float] = FIG1_P_DB,
     m: float = FIG1_M,
-    workers: int = 1,
 ) -> SweepResult:
     """Delivery rate of the four multicasting schemes vs K at m = 5%.
 
@@ -172,7 +171,6 @@ def run_fig1(
     nt = floor(ln K) antennas; single antenna over L = floor(ln K)
     sub-channels.
     """
-    del workers  # points are cheap; kept for interface uniformity
     base = RngStream(seed)
     rows = []
     idx = 0
@@ -227,10 +225,8 @@ def run_fig2(
     k_grid: Sequence[int] = FIG2_K_GRID,
     p_db_grid: Sequence[float] = FIG2_P_DB,
     m: float = FIG1_M,
-    workers: int = 1,
 ) -> SweepResult:
     """Optimal SNR threshold vs K: simulated argmax against P/W(P) - 1."""
-    del workers
     base = RngStream(seed)
     rows = []
     idx = 0

@@ -18,11 +18,9 @@ __all__ = [
     "lambert_w",
     "reg_lower_gamma",
     "reg_upper_gamma",
-    "exp_integral_e1",
     "maximize_1d",
 ]
 
-_EULER_GAMMA = 0.5772156649015328606
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 
@@ -131,46 +129,6 @@ def reg_upper_gamma(shape: float, x: float, tol: ToleranceSpec = DEFAULT_TOL) ->
     if x < shape + 1.0:
         return max(1.0 - _lower_gamma_series(shape, x, tol), 0.0)
     return min(_upper_gamma_cf(shape, x, tol), 1.0)
-
-
-def exp_integral_e1(x: float, tol: ToleranceSpec = DEFAULT_TOL) -> float:
-    """Exponential integral E1(x) = int_x^inf exp(-t)/t dt for x > 0.
-
-    Power series below 1, continued fraction above; both converge to the
-    requested relative tolerance in a few dozen terms.
-    """
-    if x <= 0.0:
-        raise ValueError(f"exp_integral_e1 requires x > 0, got {x}")
-    if x <= 1.0:
-        total = -_EULER_GAMMA - math.log(x)
-        term = 1.0
-        for n in range(1, tol.max_iter * 10):
-            term *= -x / n
-            contrib = -term / n
-            total += contrib
-            if abs(contrib) < abs(total) * tol.rel_tol + tol.abs_tol:
-                break
-        return total
-    tiny = 1e-300
-    b = x + 1.0
-    c = 1.0 / tiny
-    d = 1.0 / b
-    h = d
-    for i in range(1, tol.max_iter * 10):
-        an = -(i * i)
-        b += 2.0
-        d = an * d + b
-        if abs(d) < tiny:
-            d = tiny
-        c = b + an / c
-        if abs(c) < tiny:
-            c = tiny
-        d = 1.0 / d
-        delta = d * c
-        h *= delta
-        if abs(delta - 1.0) < tol.rel_tol:
-            break
-    return h * math.exp(-x)
 
 
 def maximize_1d(

@@ -15,9 +15,9 @@ from typing import Sequence, Tuple
 import numpy as np
 
 from .caching import delivery_rate_multicast, delivery_rate_unicast, transmissions
-from .channel import RngStream, SystemConfig, batch_counts, scalars_per_draw
+from .channel import RngStream, SystemConfig, sample_batches, scalars_per_draw
 from .mathx import DEFAULT_TOL, ToleranceSpec, maximize_1d
-from .multiplex import symmetric_rate_mc, zf_stats
+from .multiplex import private_rate_values, symmetric_rate_mc, validate_zf_config, zf_stats
 from .results import RateEstimate
 
 __all__ = [
@@ -117,7 +117,7 @@ class RegimePoint:
     all_power_common: bool  # the mixed optimum puts everything on the common stream
 
 
-def _mixed_batch_values(
+def _flow_values(
     split: PowerSplit,
     num_tx_antennas: int,
     norm2: np.ndarray,
@@ -128,35 +128,26 @@ def _mixed_batch_values(
 
     Written so the endpoint splits collapse exactly: at P0 = P the private
     power is 0.0 and the common SINR denominator is literally 1.0, and at
-    P0 = 0 the private expression matches the standalone symmetric rate
-    term by term.
+    P0 = 0 the private values are the standalone symmetric rate's own
+    `private_rate_values` at the same per-user power P/K.
     """
     p = split.private_per_user
     common = np.log1p(
         (split.common_power / num_tx_antennas) * norm2 / (1.0 + p * (g2 + inter))
     ).min(axis=1)
-    private = np.log1p(g2 * p / (1.0 + inter * p)).mean(axis=1)
-    return common, private
+    return common, private_rate_values(g2, inter, p)
 
 
 def mixed_rates_mc(
     cfg: SystemConfig, split: PowerSplit, rng: RngStream, samples: int
 ) -> MixedRates:
     """Exact MC of both flow rates under successive common-first decoding."""
-    if cfg.num_tx_antennas < cfg.num_users:
-        raise ValueError("zero forcing requires num_tx_antennas >= num_users")
-    if cfg.num_subchannels != 1:
-        raise ValueError("mixed delivery runs on the quasi-static channel (L = 1)")
-    gen = rng.generator()
-    common = np.empty(samples, dtype=np.float64)
-    private = np.empty(samples, dtype=np.float64)
-    pos = 0
-    for n in batch_counts(samples, scalars_per_draw(cfg)):
-        norm2, g2, inter = zf_stats(cfg, gen, n)
-        c, p = _mixed_batch_values(split, cfg.num_tx_antennas, norm2, g2, inter)
-        common[pos : pos + n] = c
-        private[pos : pos + n] = p
-        pos += n
+    common, private = sample_batches(
+        rng,
+        samples,
+        scalars_per_draw(cfg),
+        lambda gen, n: _flow_values(split, cfg.num_tx_antennas, *zf_stats(cfg, gen, n)),
+    )
     common_est = RateEstimate.from_values(common, seed=rng.seed)
     private_est = RateEstimate.from_values(private, seed=rng.seed)
     return MixedRates.compose(cfg, common_est.mean, private_est.mean)
@@ -218,24 +209,20 @@ def optimal_split_numeric(
     random numbers), so the sweep over P0 is smooth and rerunning with the
     same stream reproduces the optimum exactly.
     """
-    if cfg.num_tx_antennas < cfg.num_users:
-        raise ValueError("zero forcing requires num_tx_antennas >= num_users")
+    validate_zf_config(cfg)
     P, K, nt = cfg.total_power, cfg.num_users, cfg.num_tx_antennas
     m = cfg.normalized_cache
     if m == 1.0:
         # a full cache makes the common flow infinitely efficient
         return SplitOptimum(common_power=P, rate=math.inf, at_boundary=True)
     load = transmissions(cfg.placement, m, K)
-    gen = rng.generator()
-    chunks = [[], [], []]
-    for n in batch_counts(samples, scalars_per_draw(cfg)):
-        for store, arr in zip(chunks, zf_stats(cfg, gen, n)):
-            store.append(arr)
-    norm2, g2, inter = (np.concatenate(c, axis=0) for c in chunks)
+    norm2, g2, inter = sample_batches(
+        rng, samples, scalars_per_draw(cfg), lambda gen, n: zf_stats(cfg, gen, n)
+    )
 
     def total_rate(common_power: float) -> float:
         split = PowerSplit.compute(cfg, common_power)
-        c, pv = _mixed_batch_values(split, nt, norm2, g2, inter)
+        c, pv = _flow_values(split, nt, norm2, g2, inter)
         return K * float(c.mean()) / load + K * float(pv.mean()) / (1.0 - m)
 
     best_p0, best_rate = maximize_1d(total_rate, 0.0, P, tol=tol, grid_points=grid_points)

@@ -17,8 +17,8 @@ import numpy as np
 from .channel import (
     RngStream,
     SystemConfig,
-    batch_counts,
     draw_channel_batch,
+    sample_batches,
     scalars_per_draw,
     squared_row_norms,
 )
@@ -86,20 +86,11 @@ def _parallel_rate_values(cfg: SystemConfig, gen: np.random.Generator, n: int) -
     return np.log1p(snr).mean(axis=1).min(axis=1)
 
 
-def _collect(cfg: SystemConfig, rng: RngStream, samples: int, fn) -> np.ndarray:
-    gen = rng.generator()
-    per_sample = scalars_per_draw(cfg)
-    out = np.empty(samples, dtype=np.float64)
-    pos = 0
-    for n in batch_counts(samples, per_sample):
-        out[pos : pos + n] = fn(cfg, gen, n)
-        pos += n
-    return out
-
-
 def avg_rate_parallel(cfg: SystemConfig, rng: RngStream, samples: int) -> RateEstimate:
     """MC mean of min_k (1/L) sum_l ln(1 + snr_{k,l}) over fresh draws."""
-    values = _collect(cfg, rng, samples, _parallel_rate_values)
+    values = sample_batches(
+        rng, samples, scalars_per_draw(cfg), lambda gen, n: _parallel_rate_values(cfg, gen, n)
+    )
     return RateEstimate.from_values(values, seed=rng.seed)
 
 
@@ -130,16 +121,9 @@ def parallel_rate_bounds(
     Computed from the same draws, so paired-seed comparisons against
     avg_rate_parallel are sandwich-tight up to MC error.
     """
-    gen = rng.generator()
-    per_sample = scalars_per_draw(cfg)
-    lows = np.empty(samples, dtype=np.float64)
-    ups = np.empty(samples, dtype=np.float64)
-    pos = 0
-    for n in batch_counts(samples, per_sample):
-        lo, up = _bound_values(cfg, gen, n)
-        lows[pos : pos + n] = lo
-        ups[pos : pos + n] = up
-        pos += n
+    lows, ups = sample_batches(
+        rng, samples, scalars_per_draw(cfg), lambda gen, n: _bound_values(cfg, gen, n)
+    )
     return (
         RateEstimate.from_values(lows, seed=rng.seed),
         RateEstimate.from_values(ups, seed=rng.seed),

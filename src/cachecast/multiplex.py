@@ -22,8 +22,8 @@ from .channel import (
     RngStream,
     SystemConfig,
     _complex_normal,
-    batch_counts,
     draw_channel_batch,
+    sample_batches,
     scalars_per_draw,
     squared_row_norms,
 )
@@ -33,7 +33,9 @@ __all__ = [
     "ZfPrecoder",
     "AsymptoticSymmetricRate",
     "zf_beams",
+    "validate_zf_config",
     "zf_stats",
+    "private_rate_values",
     "build_zf_precoder",
     "symmetric_rate_mc",
     "symmetric_rate_surrogate",
@@ -115,6 +117,14 @@ def build_zf_precoder(est_h: np.ndarray) -> ZfPrecoder:
     return ZfPrecoder(columns=w, normalizers=1.0 / gain)
 
 
+def validate_zf_config(cfg: SystemConfig) -> None:
+    """The scenario check shared by every zero-forcing Monte-Carlo estimator."""
+    if cfg.num_tx_antennas < cfg.num_users:
+        raise ValueError("zero forcing requires num_tx_antennas >= num_users")
+    if cfg.num_subchannels != 1:
+        raise ValueError("zero forcing runs on the quasi-static channel (L = 1)")
+
+
 def zf_stats(
     cfg: SystemConfig, gen: np.random.Generator, n: int
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -127,8 +137,10 @@ def zf_stats(
     so it is not formed.  When the estimate carries no information
     (sigma2 = 1) the beams are built from an auxiliary isotropic matrix,
     drawn after the channel batch so the channel stream position stays a
-    function of (cfg, n), and the signal term is Gt_kk alone.
+    function of (cfg, n), and the signal term is Gt_kk alone.  A config
+    that fails `validate_zf_config` raises before anything is drawn.
     """
+    validate_zf_config(cfg)
     true, est, err = draw_channel_batch(cfg, gen, n)
     h = true[:, 0]
     norm2 = squared_row_norms(h)
@@ -148,24 +160,24 @@ def zf_stats(
     return norm2, g.real * g.real + g.imag * g.imag, inter
 
 
+def private_rate_values(g2: np.ndarray, inter: np.ndarray, p: float) -> np.ndarray:
+    """Per-draw user-averaged ln(1 + SINR_k) at private power p per user."""
+    return np.log1p(g2 * p / (1.0 + inter * p)).mean(axis=1)
+
+
 def symmetric_rate_mc(cfg: SystemConfig, rng: RngStream, samples: int) -> RateEstimate:
     """Exact MC mean of ln(1 + SINR_k) with uniform power p = P/K.
 
     The precoder is rebuilt from the estimate on every draw and applied to
     the true channel; the rate is averaged over users and draws.
     """
-    if cfg.num_tx_antennas < cfg.num_users:
-        raise ValueError("zero forcing requires num_tx_antennas >= num_users")
-    if cfg.num_subchannels != 1:
-        raise ValueError("spatial multiplexing runs on the quasi-static channel (L = 1)")
-    gen = rng.generator()
     p = cfg.total_power / cfg.num_users
-    values = np.empty(samples, dtype=np.float64)
-    pos = 0
-    for n in batch_counts(samples, scalars_per_draw(cfg)):
+
+    def draw(gen: np.random.Generator, n: int) -> np.ndarray:
         _, g2, inter = zf_stats(cfg, gen, n)
-        values[pos : pos + n] = np.log1p(g2 * p / (1.0 + inter * p)).mean(axis=1)
-        pos += n
+        return private_rate_values(g2, inter, p)
+
+    values = sample_batches(rng, samples, scalars_per_draw(cfg), draw)
     return RateEstimate.from_values(values, seed=rng.seed)
 
 

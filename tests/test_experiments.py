@@ -88,6 +88,17 @@ def test_fig3_point_rows_and_determinism():
         assert (r.K, r.nt, r.P_dB, r.m, r.samples) == (100, 100, 10.0, 0.1, 8)
 
 
+def test_fig3_worker_pool_matches_serial_rows():
+    grid = dict(seed=4, samples=4, p_db_grid=(10.0,), m_grid=(0.1, 0.3))
+    assert run_fig3_4_5(workers=2, **grid) == run_fig3_4_5(workers=1, **grid)
+
+
+@pytest.mark.parametrize("command", ["fig1", "fig2", "sweep", "split"])
+def test_cli_workers_only_on_pooled_sweeps(command):
+    with pytest.raises(SystemExit):
+        main([command, "--workers", "2"])
+
+
 def test_property_suite_passes_on_reference_seed():
     report = run_property_suite(seed=42)
     failed = [c.name for c in report.checks if not c.passed]

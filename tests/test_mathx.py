@@ -7,7 +7,6 @@ from scipy import special
 from cachecast.mathx import (
     DEFAULT_TOL,
     ToleranceSpec,
-    exp_integral_e1,
     lambert_w,
     maximize_1d,
     reg_lower_gamma,
@@ -54,12 +53,6 @@ def test_gammas_complement():
     for a in (1, 3, 10):
         for x in (0.2, 2.0, 9.0):
             assert reg_lower_gamma(a, x) + reg_upper_gamma(a, x) == pytest.approx(1.0, abs=1e-12)
-
-
-def test_exp_integral_matches_scipy():
-    xs = np.geomspace(1e-4, 50.0, 40)
-    for x in xs:
-        assert exp_integral_e1(float(x)) == pytest.approx(float(special.exp1(x)), rel=1e-11)
 
 
 def test_maximize_1d_quadratic():

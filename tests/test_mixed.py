@@ -1,9 +1,11 @@
 import math
+from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from cachecast.caching import transmissions
-from cachecast.channel import RngStream, SystemConfig
+from cachecast.channel import RngStream, SystemConfig, batch_counts, scalars_per_draw
 from cachecast.mathx import maximize_1d
 from cachecast.mixed import (
     MixedRates,
@@ -15,7 +17,8 @@ from cachecast.mixed import (
     regime_map,
 )
 from cachecast.multicast import avg_rate_quasistatic
-from cachecast.multiplex import symmetric_rate_mc
+from cachecast.multiplex import symmetric_rate_mc, zf_stats
+from cachecast.results import RateEstimate
 
 
 def cfg(K=8, nt=16, P=8.0, m=0.2, s2=0.1):
@@ -62,6 +65,50 @@ def test_total_rate_additivity():
 def test_mc_validation():
     with pytest.raises(ValueError):
         mixed_rates_mc(cfg(K=4, nt=2), PowerSplit.compute(cfg(K=4, nt=2), 1.0), RngStream(0), 10)
+
+
+def test_zf_estimators_reject_subchannels_before_drawing():
+    # an L > 1 config must fail, not run on sub-channel 0 alone
+    scenario = SystemConfig(
+        num_users=2,
+        num_tx_antennas=4,
+        total_power=4.0,
+        num_subchannels=2,
+        normalized_cache=0.2,
+        csit_error_var=0.1,
+    )
+    for bad in (scenario, replace(scenario, normalized_cache=1.0)):
+        with pytest.raises(ValueError):
+            optimal_split_numeric(bad, RngStream(1), 50)
+    with pytest.raises(ValueError):
+        mixed_rates_mc(scenario, PowerSplit.compute(scenario, 1.0), RngStream(1), 50)
+    gen = RngStream(1).generator()
+    with pytest.raises(ValueError):
+        zf_stats(scenario, gen, 50)
+    assert gen.standard_normal() == RngStream(1).generator().standard_normal()
+
+
+def test_zf_estimators_reduce_batches_in_draw_order():
+    # K = nt = 100 at 0 < sigma2 < 1 takes 40_000 normals per draw, so 250
+    # samples are drawn in batches of 100, 100 and 50
+    K, P = 100, 1000.0
+    scenario = cfg(K=K, nt=K, P=P, s2=0.1)
+    counts = list(batch_counts(250, scalars_per_draw(scenario)))
+    assert counts == [100, 100, 50]
+    stream = RngStream(57)
+    gen = stream.generator()
+    private, common = [], []
+    for n in counts:
+        norm2, g2, inter = zf_stats(scenario, gen, n)
+        private.append(np.log1p(g2 * (P / K) / (1.0 + inter * (P / K))).mean(axis=1))
+        common.append(np.log1p((P / K) * norm2).min(axis=1))
+    private_ref = RateEstimate.from_values(np.concatenate(private), seed=stream.seed)
+    common_ref = RateEstimate.from_values(np.concatenate(common), seed=stream.seed)
+    assert symmetric_rate_mc(scenario, stream, 250) == private_ref
+    none = mixed_rates_mc(scenario, PowerSplit.compute(scenario, 0.0), stream, 250)
+    assert none == MixedRates.compose(scenario, 0.0, private_ref.mean)
+    full = mixed_rates_mc(scenario, PowerSplit.compute(scenario, P), stream, 250)
+    assert full == MixedRates.compose(scenario, common_ref.mean, 0.0)
 
 
 def test_asymptotic_matches_mc():

@@ -1,9 +1,17 @@
 import math
 
+import numpy as np
 import pytest
 from scipy import special
 
-from cachecast.channel import RngStream, SystemConfig
+from cachecast.channel import (
+    RngStream,
+    SystemConfig,
+    batch_counts,
+    draw_channel_batch,
+    scalars_per_draw,
+    squared_row_norms,
+)
 from cachecast.multicast import (
     AsymptoticParams,
     asymptotic_rate,
@@ -12,6 +20,7 @@ from cachecast.multicast import (
     extreme_value_scale,
     parallel_rate_bounds,
 )
+from cachecast.results import RateEstimate
 
 
 def cfg(K, nt, P, L=1):
@@ -66,6 +75,21 @@ def test_parallel_rate_sandwich():
     mid = avg_rate_parallel(scenario, RngStream(8), 30_000)
     lo, hi = parallel_rate_bounds(scenario, RngStream(8), 30_000)
     assert lo.mean <= mid.mean <= hi.mean
+
+
+def test_parallel_rate_reduces_batches_in_draw_order():
+    # K = 1000, nt = 10, L = 2 takes 40_000 normals per draw, so 250
+    # samples are drawn in batches of 100, 100 and 50
+    scenario = cfg(1000, 10, 30.0, L=2)
+    counts = list(batch_counts(250, scalars_per_draw(scenario)))
+    assert counts == [100, 100, 50]
+    gen = RngStream(24).generator()
+    values = []
+    for n in counts:
+        true, _, _ = draw_channel_batch(scenario, gen, n)
+        values.append(np.log1p((30.0 / 10) * squared_row_norms(true)).mean(axis=1).min(axis=1))
+    ref = RateEstimate.from_values(np.concatenate(values), seed=24)
+    assert avg_rate_parallel(scenario, RngStream(24), 250) == ref
 
 
 def test_determinism():
