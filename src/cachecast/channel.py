@@ -27,6 +27,7 @@ __all__ = [
     "min_norm_statistic",
     "exact_min_mean",
     "squared_row_norms",
+    "substacks",
     "scalars_per_draw",
     "batch_counts",
     "sample_batches",
@@ -40,6 +41,16 @@ MAX_EXACT_MIN_TERMS = 200
 # target scalar draws per batch, shared by every estimator so that paired-seed
 # runs of different modules consume the stream identically
 _BATCH_TARGET = 4_000_000
+
+# scalars per sub-stack of row-local work inside one batch: small enough that
+# a sub-stack's temporaries stay far below a batch, large enough that the
+# per-sub-stack Python overhead is noise
+_SUBSTACK_SCALARS = 1 << 16
+
+# stream ids are multiplied by this on every derive; the Philox key words are
+# 64-bit, which bounds seeds and ids
+_DERIVE_MODULUS = 1_000_003
+_KEY_LIMIT = 1 << 64
 
 
 @dataclass(frozen=True)
@@ -73,10 +84,24 @@ class SystemConfig:
 
 @dataclass(frozen=True)
 class RngStream:
-    """Counter-based splittable stream identity."""
+    """Counter-based splittable stream identity.
+
+    The Philox key is (seed, stream_id), so both must fit in 64 bits.
+    `derive(i)` maps id to id * M + i + 1 with M = _DERIVE_MODULUS and
+    0 <= i <= M - 2: the map is injective, and the ids derived from root 0
+    at different depths fall in disjoint ranges ([1, M-1], [M+1, M^2-1],
+    ...), so no two derivation paths from root 0 share a stream.  A root
+    built with a nonzero stream_id can still equal some derived id.
+    """
 
     seed: int
     stream_id: int = 0
+
+    def __post_init__(self) -> None:
+        if not 0 <= self.seed < _KEY_LIMIT:
+            raise ValueError(f"seed must be in [0, 2**64), got {self.seed}")
+        if not 0 <= self.stream_id < _KEY_LIMIT:
+            raise ValueError(f"stream_id must be in [0, 2**64), got {self.stream_id}")
 
     def generator(self) -> np.random.Generator:
         key = np.array([self.seed, self.stream_id], dtype=np.uint64)
@@ -84,7 +109,12 @@ class RngStream:
 
     def derive(self, index: int) -> "RngStream":
         """Deterministic disjoint substream (e.g. one per grid point)."""
-        return RngStream(self.seed, self.stream_id * 1_000_003 + index + 1)
+        if not 0 <= index <= _DERIVE_MODULUS - 2:
+            raise ValueError(f"substream index must be in [0, {_DERIVE_MODULUS - 2}], got {index}")
+        stream_id = self.stream_id * _DERIVE_MODULUS + index + 1
+        if stream_id >= _KEY_LIMIT:
+            raise ValueError("derived stream id exceeds 64 bits; the derivation is too deep")
+        return RngStream(self.seed, stream_id)
 
 
 @dataclass(frozen=True)
@@ -132,9 +162,31 @@ def draw_channel(cfg: SystemConfig, rng: RngStream) -> ChannelDraw:
     return ChannelDraw(true_h=true[0], est_h=est[0], err_h=err[0])
 
 
+def substacks(n: int, scalars_per_row: int) -> Iterator[slice]:
+    """Slices of range(n) along axis 0 holding about _SUBSTACK_SCALARS each.
+
+    Row-local work on a stack of draws runs one sub-stack at a time, so
+    its temporaries stay a fixed size whatever the batch; results are
+    bit-identical to the one-shot expression because no reduction crosses
+    axis 0.
+    """
+    step = max(1, _SUBSTACK_SCALARS // max(scalars_per_row, 1))
+    return (slice(lo, lo + step) for lo in range(0, n, step))
+
+
 def squared_row_norms(h: np.ndarray) -> np.ndarray:
-    """Sum of |entry|^2 along the last (antenna) axis."""
-    return (h.real * h.real + h.imag * h.imag).sum(axis=-1)
+    """Sum of |entry|^2 along the last (antenna) axis.
+
+    Reduced over sub-stacks along axis 0, so the real^2 and imag^2
+    temporaries never reach the size of h.
+    """
+    if h.ndim < 2:
+        return (h.real * h.real + h.imag * h.imag).sum(axis=-1)
+    out = np.empty(h.shape[:-1], dtype=h.real.dtype)
+    for rows in substacks(h.shape[0], math.prod(h.shape[1:])):
+        part = h[rows]
+        out[rows] = (part.real * part.real + part.imag * part.imag).sum(axis=-1)
+    return out
 
 
 def per_user_snr(cfg: SystemConfig, draw: ChannelDraw, l: int = 1) -> np.ndarray:

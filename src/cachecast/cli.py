@@ -54,7 +54,12 @@ def build_parser() -> argparse.ArgumentParser:
         cmd.add_argument("--out", type=str, default=None)
         cmd.add_argument("--format", choices=("csv", "json"), default="csv")
         if name in ("fig3", "fig4", "fig5"):
-            cmd.add_argument("--workers", type=int, default=1)
+            cmd.add_argument(
+                "--workers",
+                type=int,
+                default=None,
+                help="threads for the grid points (default: usable CPUs); rows do not depend on it",
+            )
     return parser
 
 

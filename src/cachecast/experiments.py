@@ -3,6 +3,13 @@
 Every sweep row records the scheme, the full parameter point, and the
 (seed, samples) pair, so any row can be regenerated bit-identically.  All
 internal math is linear; decibels appear only in the row metadata.
+
+The fig3/4/5 grid points run on a thread pool (`workers`, by default the
+CPUs this process may use).  Each point draws from its own derived
+substreams and the rows are collected in grid order, so the result is the
+same at any worker count.  numpy releases the interpreter lock in its
+random fills, ufuncs and LAPACK calls, which is where the points spend
+their time.
 """
 
 from __future__ import annotations
@@ -10,7 +17,8 @@ from __future__ import annotations
 import csv
 import json
 import math
-from concurrent.futures import ProcessPoolExecutor
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
 from typing import Callable, Iterable, Optional, Sequence, TextIO
 
@@ -119,10 +127,19 @@ class SweepResult:
         fh.write("\n")
 
 
+def _usable_cpus() -> int:
+    """CPUs this process may run on: its affinity mask where the OS has one."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def _map(fn: Callable, items: Sequence, workers: int) -> list:
-    if workers <= 1 or len(items) <= 1:
+    """[fn(it) for it in items] on at most `workers` threads, in item order."""
+    workers = min(workers, len(items))
+    if workers <= 1:
         return [fn(it) for it in items]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
+    with ThreadPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(fn, items))
 
 
@@ -274,16 +291,16 @@ def fig345_config(per_user_p_db: float, m: float, num_users: int = FIG345_USERS)
     )
 
 
-def _fig345_point(args) -> list:
-    seed, idx, p_db, m, n = args
+def _fig345_point(sub: RngStream, p_db: float, m: float, n: int) -> list:
     cfg = fig345_config(p_db, m)
-    sub = RngStream(seed).derive(idx)
     K, P = cfg.num_users, cfg.total_power
     load = caching.transmissions(cfg.placement, m, K)
     mc = multicast.avg_rate_quasistatic(cfg, sub.derive(0), n).scaled(K / load)
     uc = multiplex.symmetric_rate_mc(cfg, sub.derive(1), n).scaled(K / (1.0 - m))
     opt = mixed.optimal_split_numeric(cfg, sub.derive(2), n)
-    common = dict(K=K, nt=K, L=1, P_dB=p_db, m=m, sigma2=cfg.csit_error_var, samples=n, seed=seed)
+    common = dict(
+        K=K, nt=K, L=1, P_dB=p_db, m=m, sigma2=cfg.csit_error_var, samples=n, seed=sub.seed
+    )
     flags = []
     if opt.at_boundary:
         flags.append("boundary")
@@ -310,20 +327,28 @@ def run_fig3_4_5(
     samples: Optional[int] = None,
     p_db_grid: Sequence[float] = FIG345_P_DB,
     m_grid: Sequence[float] = FIG345_M_GRID,
-    workers: int = 1,
+    workers: Optional[int] = None,
 ) -> SweepResult:
     """m-sweeps of the three delivery rates plus the optimal power split.
 
     The P_dB column carries *per-user* power here, matching the preset
     parameterization; the regime classification lives in the flags of the
-    mixed_opt rows.
+    mixed_opt rows.  Grid point i runs on RngStream(seed).derive(i) in a
+    pool of `workers` threads (default: the CPUs this process may use),
+    capped at the number of points; the rows do not depend on the worker
+    count.
     """
+    if workers is None:
+        workers = _usable_cpus()
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
     n = samples if samples is not None else FIG345_SAMPLES
-    tasks = [
-        (seed, i, p_db, m, n)
-        for i, (p_db, m) in enumerate((p, m) for p in p_db_grid for m in m_grid)
-    ]
-    rows = [row for chunk in _map(_fig345_point, tasks, workers) for row in chunk]
+    base = RngStream(seed)
+    points = [(p_db, m) for p_db in p_db_grid for m in m_grid]
+    chunks = _map(
+        lambda i: _fig345_point(base.derive(i), *points[i], n), range(len(points)), workers
+    )
+    rows = [row for chunk in chunks for row in chunk]
     return SweepResult(rows=tuple(rows)).sorted()
 
 

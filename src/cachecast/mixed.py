@@ -220,10 +220,15 @@ def optimal_split_numeric(
         rng, samples, scalars_per_draw(cfg), lambda gen, n: zf_stats(cfg, gen, n)
     )
 
+    # exact-key memo: the edge checks below reuse the scan's own evaluations
+    rates: dict = {}
+
     def total_rate(common_power: float) -> float:
-        split = PowerSplit.compute(cfg, common_power)
-        c, pv = _flow_values(split, nt, norm2, g2, inter)
-        return K * float(c.mean()) / load + K * float(pv.mean()) / (1.0 - m)
+        if common_power not in rates:
+            split = PowerSplit.compute(cfg, common_power)
+            c, pv = _flow_values(split, nt, norm2, g2, inter)
+            rates[common_power] = K * float(c.mean()) / load + K * float(pv.mean()) / (1.0 - m)
+        return rates[common_power]
 
     best_p0, best_rate = maximize_1d(total_rate, 0.0, P, tol=tol, grid_points=grid_points)
     for edge in (0.0, P):

@@ -26,6 +26,7 @@ from .channel import (
     sample_batches,
     scalars_per_draw,
     squared_row_norms,
+    substacks,
 )
 from .results import RateEstimate
 
@@ -139,25 +140,36 @@ def zf_stats(
     drawn after the channel batch so the channel stream position stays a
     function of (cfg, n), and the signal term is Gt_kk alone.  A config
     that fails `validate_zf_config` raises before anything is drawn.
+
+    Only the row norms of the true channel are read, so it is released
+    once they are taken.  The beams, Gt and the reductions then run over
+    `substacks` of draws into the (n, K) outputs; every step is per draw,
+    so the outputs equal the one-shot computation bit for bit while the
+    working set beyond the drawn est and err stays a fixed size.
     """
     validate_zf_config(cfg)
     true, est, err = draw_channel_batch(cfg, gen, n)
-    h = true[:, 0]
-    norm2 = squared_row_norms(h)
+    norm2 = squared_row_norms(true[:, 0])
+    del true
+    est, err = est[:, 0], err[:, 0]
     s2 = cfg.csit_error_var
-    if s2 == 1.0:
-        w, _ = zf_beams(_complex_normal(gen, h.shape, 1.0))
-        gain = 0.0
-    else:
-        w, gain = zf_beams(est[:, 0])
-    if s2 == 0.0:
-        return norm2, gain**2, np.zeros_like(gain)
-    idx = np.arange(cfg.num_users)
-    gt = err[:, 0] @ w
-    g = gain + gt[:, idx, idx]
-    gt2 = gt.real * gt.real + gt.imag * gt.imag
-    inter = gt2.sum(axis=2) - gt2[:, idx, idx]
-    return norm2, g.real * g.real + g.imag * g.imag, inter
+    if s2 == 1.0:  # the beams come from the auxiliary matrix, not the zero estimate
+        est = _complex_normal(gen, est.shape, 1.0)
+    K, nt = cfg.num_users, cfg.num_tx_antennas
+    g2 = np.empty((n, K))
+    inter = np.zeros((n, K))
+    idx = np.arange(K)
+    for rows in substacks(n, K * nt):
+        w, gain = zf_beams(est[rows])
+        if s2 == 0.0:
+            g2[rows] = gain**2
+            continue
+        gt = err[rows] @ w
+        g = gt[:, idx, idx] if s2 == 1.0 else gain + gt[:, idx, idx]
+        gt2 = gt.real * gt.real + gt.imag * gt.imag
+        inter[rows] = gt2.sum(axis=2) - gt2[:, idx, idx]
+        g2[rows] = g.real * g.real + g.imag * g.imag
+    return norm2, g2, inter
 
 
 def private_rate_values(g2: np.ndarray, inter: np.ndarray, p: float) -> np.ndarray:

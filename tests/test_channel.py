@@ -15,6 +15,7 @@ from cachecast.channel import (
     per_user_snr,
     scalars_per_draw,
     squared_row_norms,
+    substacks,
 )
 
 
@@ -98,6 +99,45 @@ def test_per_user_snr_shape_and_bounds():
 def test_squared_row_norms():
     h = np.array([[1.0 + 1.0j, 2.0]])
     assert squared_row_norms(h)[0] == pytest.approx(6.0)
+
+
+def test_squared_row_norms_over_substacks_match_one_shot_formula():
+    h = _complex_normal(RngStream(6).generator(), (100, 3, 40, 20), 0.7)
+    assert len(list(substacks(100, 3 * 40 * 20))) >= 3
+    ref = (h.real * h.real + h.imag * h.imag).sum(axis=-1)
+    out = squared_row_norms(h)
+    assert out.shape == ref.shape and out.dtype == ref.dtype
+    assert np.array_equal(out.view(np.uint64), ref.view(np.uint64))
+    assert squared_row_norms(h[0, 0, 0]) == ref[0, 0, 0]
+
+
+def test_rng_stream_rejects_identities_outside_the_key_space():
+    M = 1_000_003
+    for seed in (-1, 2**64):
+        with pytest.raises(ValueError):
+            RngStream(seed)
+    RngStream(2**64 - 1).generator()
+    root = RngStream(0)
+    for index in (-1, M - 1, M):
+        with pytest.raises(ValueError):
+            root.derive(index)
+    # derive(M) used to land on derive(0).derive(0)
+    assert root.derive(0).derive(0).stream_id == M + 1
+    RngStream(0, (2**64 - 1) // M - 1).derive(0)
+    with pytest.raises(ValueError):
+        RngStream(0, (2**64 - 1) // M + 1).derive(0)
+    with pytest.raises(ValueError):
+        RngStream(0, 2**64)
+
+
+def test_derived_ids_are_unchanged():
+    M = 1_000_003
+    root = RngStream(9)
+    assert root.derive(0).stream_id == 1
+    assert root.derive(M - 2).stream_id == M - 1
+    assert root.derive(5).derive(2).stream_id == 6 * M + 3
+    assert root.derive(5).derive(2).derive(1).stream_id == (6 * M + 3) * M + 2
+    assert RngStream(7, 1).derive(3) == RngStream(7, M + 4)
 
 
 def test_scalars_per_draw_counts_error_draws():

@@ -1,6 +1,7 @@
 import io
 import json
 import math
+import sys
 
 import pytest
 
@@ -89,8 +90,28 @@ def test_fig3_point_rows_and_determinism():
 
 
 def test_fig3_worker_pool_matches_serial_rows():
-    grid = dict(seed=4, samples=4, p_db_grid=(10.0,), m_grid=(0.1, 0.3))
-    assert run_fig3_4_5(workers=2, **grid) == run_fig3_4_5(workers=1, **grid)
+    grid = dict(seed=4, samples=4, p_db_grid=(10.0,), m_grid=(0.1, 0.2, 0.3))
+    serial = run_fig3_4_5(workers=1, **grid)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)  # interleave the worker threads as finely as possible
+    try:
+        # 8 workers are more than the CPUs and are capped at the 3 grid points
+        for workers in (2, None, 8):
+            assert run_fig3_4_5(workers=workers, **grid) == serial
+    finally:
+        sys.setswitchinterval(interval)
+
+
+@pytest.mark.parametrize("workers", ["0", "-3"])
+def test_cli_rejects_worker_counts_below_one(workers, capsys):
+    assert main(["fig3", "--workers", workers, "--samples", "2"]) == 1
+    assert "workers must be >= 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [["split", "--seed", "-1"], ["fig1", "--seed", str(2**64)]])
+def test_cli_rejects_seeds_outside_the_key_space(argv, capsys):
+    assert main(argv + ["--samples", "2"]) == 1
+    assert "seed must be in [0, 2**64)" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command", ["fig1", "fig2", "sweep", "split"])

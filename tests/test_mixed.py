@@ -1,9 +1,11 @@
 import math
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from cachecast import mixed
 from cachecast.caching import transmissions
 from cachecast.channel import RngStream, SystemConfig, batch_counts, scalars_per_draw
 from cachecast.mathx import maximize_1d
@@ -109,6 +111,24 @@ def test_zf_estimators_reduce_batches_in_draw_order():
     assert none == MixedRates.compose(scenario, 0.0, private_ref.mean)
     full = mixed_rates_mc(scenario, PowerSplit.compute(scenario, P), stream, 250)
     assert full == MixedRates.compose(scenario, common_ref.mean, 0.0)
+
+
+def test_optimal_split_evaluates_each_power_once(monkeypatch):
+    # the edge checks after the scan reuse the scanned P0 = 0 (and P0 = P)
+    calls = Counter()
+    flow_values = mixed._flow_values
+
+    def counted(split, *args):
+        calls[split.common_power] += 1
+        return flow_values(split, *args)
+
+    monkeypatch.setattr(mixed, "_flow_values", counted)
+    scenario = cfg()
+    opt = optimal_split_numeric(scenario, RngStream(58), 200)
+    assert calls[0.0] == 1
+    assert max(calls.values()) == 1
+    monkeypatch.undo()
+    assert optimal_split_numeric(scenario, RngStream(58), 200) == opt
 
 
 def test_asymptotic_matches_mc():

@@ -1,10 +1,17 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from scipy import stats
 
-from cachecast.channel import RngStream, SystemConfig, _complex_normal, draw_channel_batch
+from cachecast.channel import (
+    RngStream,
+    SystemConfig,
+    _complex_normal,
+    draw_channel_batch,
+    substacks,
+)
 from cachecast.multiplex import (
     build_zf_precoder,
     symmetric_rate_asymptotic,
@@ -86,6 +93,59 @@ def test_zf_stats_perfect_csit_reads_gain_from_kernel():
     _, gain = zf_beams(est[:, 0])
     assert np.all(inter == 0.0)
     assert np.array_equal(g2, gain**2)
+
+
+def _zf_stats_single_stack(scenario, gen, n):
+    # the one-shot formula: every draw of the batch in one LU/QR, one matmul
+    true, est, err = draw_channel_batch(scenario, gen, n)
+    h = true[:, 0]
+    norm2 = (h.real * h.real + h.imag * h.imag).sum(axis=-1)
+    s2 = scenario.csit_error_var
+    if s2 == 1.0:
+        w, _ = zf_beams(_complex_normal(gen, h.shape, 1.0))
+        gain = 0.0
+    else:
+        w, gain = zf_beams(est[:, 0])
+    if s2 == 0.0:
+        return norm2, gain**2, np.zeros_like(gain)
+    idx = np.arange(scenario.num_users)
+    gt = err[:, 0] @ w
+    g = gain + gt[:, idx, idx]
+    gt2 = gt.real * gt.real + gt.imag * gt.imag
+    inter = gt2.sum(axis=2) - gt2[:, idx, idx]
+    return norm2, g.real * g.real + g.imag * g.imag, inter
+
+
+@pytest.mark.parametrize("K, nt, n", [(100, 100, 20), (8, 16, 1100)])
+@pytest.mark.parametrize("s2", [0.0, 0.1, 1.0])
+def test_zf_stats_over_substacks_match_single_stack_formula(K, nt, n, s2):
+    assert len(list(substacks(n, K * nt))) >= 3
+    scenario = cfg(K, nt, 10.0 * K, s2=s2)
+    gen, ref_gen = RngStream(45).generator(), RngStream(45).generator()
+    out = zf_stats(scenario, gen, n)
+    ref = _zf_stats_single_stack(scenario, ref_gen, n)
+    for a, b in zip(out, ref):
+        assert a.shape == b.shape == (n, K) and a.dtype == b.dtype
+        assert np.array_equal(a.view(np.uint64), b.view(np.uint64))
+    # the auxiliary sigma2 = 1 draw leaves the stream where it was
+    assert gen.standard_normal() == ref_gen.standard_normal()
+
+
+def test_zf_stats_working_set_stays_near_its_draws():
+    # est, err and est + err are 3 units of n*K*nt*16 bytes while drawn; the
+    # true channel is dropped after its norms and the solve runs per
+    # sub-stack, so the peak stays below 3.5 units
+    K, n = 100, 30
+    scenario = cfg(K, K, 10.0 * K, s2=0.1)
+    gen = RngStream(46).generator()
+    zf_stats(scenario, gen, 1)  # one-time set-up inside numpy is not working set
+    tracemalloc.start()
+    try:
+        zf_stats(scenario, gen, n)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 3.5 * n * K * K * 16
 
 
 def test_zf_stats_blind_estimate():
