@@ -6,21 +6,12 @@ multiplexing / mixed delivery, and their large-system closed forms.
 """
 
 from .caching import (
-    CacheLoad,
     delivery_rate_multicast,
     delivery_rate_selection,
     delivery_rate_unicast,
     transmissions,
 )
-from .channel import (
-    ChannelDraw,
-    RngStream,
-    SystemConfig,
-    draw_channel,
-    exact_min_mean,
-    min_norm_statistic,
-    per_user_snr,
-)
+from .channel import RngStream, SystemConfig, exact_min_mean, min_norm_statistic
 from .mixed import (
     MixedRates,
     PowerSplit,
@@ -29,7 +20,6 @@ from .mixed import (
     mixed_rates_mc,
     optimal_split_closed_form,
     optimal_split_numeric,
-    regime_map,
 )
 from .multicast import (
     AsymptoticRate,
@@ -60,8 +50,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AsymptoticRate",
-    "CacheLoad",
-    "ChannelDraw",
     "MixedRates",
     "PowerSplit",
     "RateEstimate",
@@ -76,7 +64,6 @@ __all__ = [
     "delivery_rate_multicast",
     "delivery_rate_selection",
     "delivery_rate_unicast",
-    "draw_channel",
     "empirical_optimal_threshold",
     "exact_min_mean",
     "extreme_value_scale",
@@ -88,8 +75,6 @@ __all__ = [
     "optimal_threshold_general",
     "optimal_threshold_rayleigh",
     "parallel_rate_bounds",
-    "per_user_snr",
-    "regime_map",
     "simulated_selection_rate",
     "symmetric_rate_asymptotic",
     "symmetric_rate_mc",

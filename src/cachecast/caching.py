@@ -9,7 +9,6 @@ cache (m = 1) yields an infinite delivery rate by convention.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -17,25 +16,12 @@ from .channel import RngStream
 from .results import RateEstimate
 
 __all__ = [
-    "CacheLoad",
     "transmissions",
     "delivery_rate_multicast",
     "delivery_rate_unicast",
     "delivery_rate_selection",
     "selection_rate_samples",
 ]
-
-
-@dataclass(frozen=True)
-class CacheLoad:
-    placement: str
-    m: float
-    num_users: int
-    load: float
-
-    @classmethod
-    def compute(cls, placement: str, m: float, num_users: int) -> "CacheLoad":
-        return cls(placement, m, num_users, transmissions(placement, m, num_users))
 
 
 def transmissions(placement: str, m: float, num_users: int) -> float:

@@ -19,11 +19,8 @@ from .results import RateEstimate
 
 __all__ = [
     "SystemConfig",
-    "ChannelDraw",
     "RngStream",
-    "draw_channel",
     "draw_channel_batch",
-    "per_user_snr",
     "min_norm_statistic",
     "exact_min_mean",
     "squared_row_norms",
@@ -72,8 +69,8 @@ class SystemConfig:
             raise ValueError("num_tx_antennas must be >= 1")
         if self.num_subchannels < 1:
             raise ValueError("num_subchannels must be >= 1")
-        if self.total_power < 0.0:
-            raise ValueError("total_power must be nonnegative")
+        if not 0.0 <= self.total_power < math.inf:
+            raise ValueError(f"total_power must be finite and nonnegative, got {self.total_power}")
         if not 0.0 <= self.normalized_cache <= 1.0:
             raise ValueError("normalized_cache must be in [0, 1]")
         if not 0.0 <= self.csit_error_var <= 1.0:
@@ -117,15 +114,6 @@ class RngStream:
         return RngStream(self.seed, stream_id)
 
 
-@dataclass(frozen=True)
-class ChannelDraw:
-    """One realization; arrays have shape (L, K, nt)."""
-
-    true_h: np.ndarray
-    est_h: np.ndarray
-    err_h: np.ndarray
-
-
 def _complex_normal(gen: np.random.Generator, shape: tuple, var: float) -> np.ndarray:
     # (real, imag) pairs scaled in place and read as complex: no temporaries
     parts = gen.standard_normal(size=shape + (2,))
@@ -156,12 +144,6 @@ def draw_channel_batch(
     return est + err, est, err
 
 
-def draw_channel(cfg: SystemConfig, rng: RngStream) -> ChannelDraw:
-    """Single seeded realization with the estimate/error split applied."""
-    true, est, err = draw_channel_batch(cfg, rng.generator(), 1)
-    return ChannelDraw(true_h=true[0], est_h=est[0], err_h=err[0])
-
-
 def substacks(n: int, scalars_per_row: int) -> Iterator[slice]:
     """Slices of range(n) along axis 0 holding about _SUBSTACK_SCALARS each.
 
@@ -187,14 +169,6 @@ def squared_row_norms(h: np.ndarray) -> np.ndarray:
         part = h[rows]
         out[rows] = (part.real * part.real + part.imag * part.imag).sum(axis=-1)
     return out
-
-
-def per_user_snr(cfg: SystemConfig, draw: ChannelDraw, l: int = 1) -> np.ndarray:
-    """(P/nt) * ||H_k||^2 for every user on sub-channel l (1-based)."""
-    if not 1 <= l <= cfg.num_subchannels:
-        raise IndexError(f"sub-channel index {l} out of range [1, {cfg.num_subchannels}]")
-    norms = squared_row_norms(draw.true_h[l - 1])
-    return (cfg.total_power / cfg.num_tx_antennas) * norms
 
 
 def scalars_per_draw(cfg: SystemConfig) -> int:

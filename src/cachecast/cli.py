@@ -1,8 +1,9 @@
 """Command-line front end: figure sweeps, generic sweeps, and the check gate.
 
 This is the only layer that speaks decibels and files; everything below it
-works in linear SNR and plain dataclasses.  Exit codes: 0 success, 1 bad
-configuration, 2 property-suite failure.
+works in linear SNR and plain dataclasses.  Config keys are checked per
+command (`_COMMANDS`).  Exit codes: 0 success, 1 bad configuration,
+2 property-suite failure.
 """
 
 from __future__ import annotations
@@ -10,14 +11,15 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import Optional
+from typing import Optional, Sequence
 
-from . import caching, mixed, multicast, multiplex, selection
+from . import mixed, multiplex, selection
 from .channel import RngStream, SystemConfig
 from .experiments import (
-    FIG345_M_GRID,
+    FIG345_USERS,
     SweepResult,
     SweepRow,
+    _multicast_row,
     db_to_linear,
     default_samples,
     fig345_config,
@@ -30,23 +32,123 @@ from .experiments import (
 __all__ = ["main", "build_parser"]
 
 
+def _sweep(
+    seed: int,
+    samples: Optional[int] = None,
+    scheme: str = "multicast",
+    num_users: int = 100,
+    nt: Optional[int] = None,
+    subchannels: int = 1,
+    p_db_grid: Sequence[float] = (20.0,),
+    m_grid: Sequence[float] = (0.1,),
+    sigma2: float = 0.0,
+    placement: str = "decentralized",
+) -> SweepResult:
+    """Generic sweep: one scheme over grids of P_dB and m; nt defaults to K."""
+    if scheme not in ("multicast", "multiplex"):
+        raise ValueError(f"unknown sweep scheme {scheme!r}")
+    n = samples if samples is not None else default_samples(num_users)
+    rows = []
+    for idx, (p_db, m) in enumerate((p, m) for p in p_db_grid for m in m_grid):
+        p_db, m = float(p_db), float(m)
+        scenario = SystemConfig(
+            num_users=num_users,
+            num_tx_antennas=num_users if nt is None else nt,
+            total_power=db_to_linear(p_db),
+            num_subchannels=subchannels,
+            normalized_cache=m,
+            csit_error_var=sigma2,
+            placement=placement,
+        )
+        sub = RngStream(seed).derive(idx)
+        if scheme == "multicast":
+            rows.append(_multicast_row(scheme, scenario, p_db, sub, n))
+            continue
+        est = multiplex.symmetric_rate_mc(scenario, sub, n).scaled(num_users / (1.0 - m))
+        rows.append(
+            SweepRow(
+                scheme=scheme, K=num_users, nt=scenario.num_tx_antennas, L=subchannels,
+                P_dB=p_db, m=m, sigma2=sigma2, P0_frac=0.0, mean_nats=est.mean,
+                std_err=est.std_err, samples=n, seed=seed,
+            )
+        )
+    return SweepResult(rows=tuple(rows)).sorted()
+
+
+def _mixed_opt_rows(**kwargs) -> SweepResult:
+    # the split fraction and the regime flags of fig4/fig5 live on mixed_opt rows
+    rows = run_fig3_4_5(**kwargs).rows
+    return SweepResult(rows=tuple(r for r in rows if r.scheme == "mixed_opt"))
+
+
+def _check(seed: int) -> int:
+    report = run_property_suite(seed=seed)
+    for check in report.checks:
+        status = "pass" if check.passed else "FAIL"
+        print(f"{status}  {check.name}  margin={check.margin:+.3e}")
+    return 0 if report.all_passed else 2
+
+
+def _threshold(p_db: float = 30.0) -> int:
+    s = selection.optimal_threshold_rayleigh(db_to_linear(p_db))
+    print(f"P_dB={p_db} threshold={s!r}")
+    return 0
+
+
+def _split(
+    seed: int, samples: int = 200, p_db: float = 20.0, m: float = 0.1, num_users: int = FIG345_USERS
+) -> int:
+    scenario = fig345_config(p_db, m, num_users=num_users)  # p_db is per-user power
+    opt = mixed.optimal_split_numeric(scenario, RngStream(seed), samples)
+    frac = opt.common_power / scenario.total_power
+    marker = " (boundary)" if opt.at_boundary else ""
+    print(f"P_per_user_dB={p_db} m={m} P0_frac={frac!r} rate={opt.rate!r}{marker}")
+    return 0
+
+
+# Config keys, each mapped to (the argument it feeds, its kind); see _value.
+_SEED = {"seed": ("seed", "int")}
+_RUN = {**_SEED, "samples": ("samples", "int")}
+_FIG12 = {**_RUN, "K": ("k_grid", "ints"), "P_dB": ("p_db_grid", "floats"), "m": ("m", "float")}
+_FIG345 = {**_RUN, "P_dB": ("p_db_grid", "floats"), "m": ("m_grid", "floats")}
+_SWEEP = {
+    **_RUN,
+    "scheme": ("scheme", "str"),
+    "K": ("num_users", "int"),
+    "nt": ("nt", "int"),
+    "L": ("subchannels", "int"),
+    "P_dB": ("p_db_grid", "floats"),
+    "m": ("m_grid", "floats"),
+    "sigma2": ("sigma2", "float"),
+    "placement": ("placement", "str"),
+}
+_SPLIT = {**_RUN, "P_dB": ("p_db", "float"), "m": ("m", "float"), "K": ("num_users", "int")}
+
+# Per command: its help line, the function that runs it, and the config keys
+# it reads.  Only the keys present in a config are passed, so each default
+# lives in the function's signature; any other key is an error.
+_COMMANDS = {
+    "fig1": ("multicasting schemes vs number of users", run_fig1, _FIG12),
+    "fig2": ("optimal selection threshold, empirical vs closed form", run_fig2, _FIG12),
+    "fig3": ("delivery rate of multicast / multiplex / mixed vs cache size", run_fig3_4_5,
+             _FIG345),
+    "fig4": ("optimal common power fraction vs cache size", _mixed_opt_rows, _FIG345),
+    "fig5": ("preferable and optimal regions of coded multicasting", _mixed_opt_rows, _FIG345),
+    "sweep": ("generic sweep driven entirely by a config file", _sweep, _SWEEP),
+    "check": ("run the cross-module property suite", _check, _SEED),
+    "threshold": ("print the optimal selection threshold for a power", _threshold,
+                  {"P_dB": ("p_db", "float")}),
+    "split": ("print the optimal common power for a scenario", _split, _SPLIT),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="cachecast",
         description="Content delivery rate sweeps for cache-aided multi-antenna downlinks",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, brief in (
-        ("fig1", "multicasting schemes vs number of users"),
-        ("fig2", "optimal selection threshold, empirical vs closed form"),
-        ("fig3", "delivery rate of multicast / multiplex / mixed vs cache size"),
-        ("fig4", "optimal common power fraction vs cache size"),
-        ("fig5", "preferable and optimal regions of coded multicasting"),
-        ("sweep", "generic sweep driven entirely by a config file"),
-        ("check", "run the cross-module property suite"),
-        ("threshold", "print the optimal selection threshold for a power"),
-        ("split", "print the optimal common power for a scenario"),
-    ):
+    for name, (brief, _, _) in _COMMANDS.items():
         cmd = sub.add_parser(name, help=brief)
         cmd.add_argument("--config", type=str, default=None, help="JSON config file")
         cmd.add_argument("--seed", type=int, default=42)
@@ -73,6 +175,32 @@ def _load_config(path: Optional[str]) -> dict:
     return cfg
 
 
+def _value(key: str, value, kind: str):
+    """A config value checked against its kind, as the command receives it.
+
+    Kinds: "int" (integral numbers become ints), "float", "str", and the
+    lists "ints" and "floats".  Numbers in a float list are passed as
+    written, so the rows print them as before.
+    """
+    if kind in ("ints", "floats"):
+        if not isinstance(value, list):
+            raise ValueError(f"{key}: expected a list, got {value!r}")
+        return [_value(key, v, "int" if kind == "ints" else "number") for v in value]
+    if kind == "str":
+        if not isinstance(value, str):
+            raise ValueError(f"{key}: expected a string, got {value!r}")
+        return value
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"{key}: expected a number, got {value!r}")
+    if not abs(value) <= sys.float_info.max:
+        raise ValueError(f"{key}: expected a finite number, got {value!r}")
+    if kind == "int":
+        if value != int(value):
+            raise ValueError(f"{key}: expected an integer, got {value!r}")
+        return int(value)
+    return float(value) if kind == "float" else value
+
+
 def _emit(result: SweepResult, out: Optional[str], fmt: str) -> None:
     write = result.write_csv if fmt == "csv" else result.write_json
     if out is None:
@@ -82,121 +210,22 @@ def _emit(result: SweepResult, out: Optional[str], fmt: str) -> None:
             write(fh)
 
 
-def _sweep_config(cfg: dict, seed: int, samples: Optional[int]) -> SweepResult:
-    """Generic sweep: one scheme over grids of P_dB and m from the config."""
-    scheme = cfg.get("scheme", "multicast")
-    K = int(cfg.get("K", 100))
-    nt = int(cfg.get("nt", K))
-    sigma2 = cfg.get("sigma2")
-    rows = []
-    idx = 0
-    for p_db in cfg.get("P_dB", [20.0]):
-        for m in cfg.get("m", [0.1]):
-            n = samples if samples is not None else default_samples(K)
-            P = db_to_linear(float(p_db))
-            scenario = SystemConfig(
-                num_users=K,
-                num_tx_antennas=nt,
-                total_power=P,
-                num_subchannels=int(cfg.get("L", 1)),
-                normalized_cache=float(m),
-                csit_error_var=float(sigma2) if sigma2 is not None else 0.0,
-                placement=cfg.get("placement", "decentralized"),
-            )
-            sub = RngStream(seed).derive(idx)
-            idx += 1
-            if scheme == "multicast":
-                load = caching.transmissions(scenario.placement, scenario.normalized_cache, K)
-                est = multicast.avg_rate_parallel(scenario, sub, n).scaled(K / load)
-                p0_frac = 1.0
-            elif scheme == "multiplex":
-                est = multiplex.symmetric_rate_mc(scenario, sub, n).scaled(
-                    K / (1.0 - scenario.normalized_cache)
-                )
-                p0_frac = 0.0
-            else:
-                raise ValueError(f"unknown sweep scheme {scheme!r}")
-            rows.append(
-                SweepRow(
-                    scheme=scheme,
-                    K=K,
-                    nt=nt,
-                    L=scenario.num_subchannels,
-                    P_dB=float(p_db),
-                    m=float(m),
-                    sigma2=scenario.csit_error_var,
-                    P0_frac=p0_frac,
-                    mean_nats=est.mean,
-                    std_err=est.std_err,
-                    samples=n,
-                    seed=seed,
-                )
-            )
-    return SweepResult(rows=tuple(rows)).sorted()
-
-
 def _run(args: argparse.Namespace) -> int:
-    cfg = _load_config(args.config)
-    seed = int(cfg.get("seed", args.seed))
-    samples = args.samples if args.samples is not None else cfg.get("samples")
-    if args.command == "fig1":
-        result = run_fig1(
-            seed=seed,
-            samples=samples,
-            k_grid=cfg.get("K", (50, 100, 200, 400, 800)),
-            p_db_grid=cfg.get("P_dB", (30.0, 40.0)),
-            m=float(cfg.get("m", 0.05)),
-        )
-        _emit(result, args.out, args.format)
-        return 0
-    if args.command == "fig2":
-        result = run_fig2(
-            seed=seed,
-            samples=samples,
-            k_grid=cfg.get("K", (100, 1_000, 10_000)),
-            p_db_grid=cfg.get("P_dB", (30.0, 40.0, 50.0)),
-            m=float(cfg.get("m", 0.05)),
-        )
-        _emit(result, args.out, args.format)
-        return 0
-    if args.command in ("fig3", "fig4", "fig5"):
-        result = run_fig3_4_5(
-            seed=seed,
-            samples=samples,
-            p_db_grid=cfg.get("P_dB", (10.0, 20.0)),
-            m_grid=cfg.get("m", FIG345_M_GRID),
-            workers=args.workers,
-        )
-        if args.command in ("fig4", "fig5"):
-            # the split fraction and the regime flags both live on mixed_opt rows
-            result = SweepResult(rows=tuple(r for r in result.rows if r.scheme == "mixed_opt"))
-        _emit(result, args.out, args.format)
-        return 0
-    if args.command == "sweep":
-        _emit(_sweep_config(cfg, seed, samples), args.out, args.format)
-        return 0
-    if args.command == "check":
-        report = run_property_suite(seed=seed)
-        for check in report.checks:
-            status = "pass" if check.passed else "FAIL"
-            print(f"{status}  {check.name}  margin={check.margin:+.3e}")
-        return 0 if report.all_passed else 2
-    if args.command == "threshold":
-        p_db = float(cfg.get("P_dB", 30.0))
-        s = selection.optimal_threshold_rayleigh(db_to_linear(p_db))
-        print(f"P_dB={p_db} threshold={s!r}")
-        return 0
-    if args.command == "split":
-        p_db = float(cfg.get("P_dB", 20.0))  # per-user power, numerics preset
-        m = float(cfg.get("m", 0.1))
-        scenario = fig345_config(p_db, m, num_users=int(cfg.get("K", 100)))
-        n = samples if samples is not None else 200
-        opt = mixed.optimal_split_numeric(scenario, RngStream(seed), n)
-        frac = opt.common_power / scenario.total_power
-        marker = " (boundary)" if opt.at_boundary else ""
-        print(f"P_per_user_dB={p_db} m={m} P0_frac={frac!r} rate={opt.rate!r}{marker}")
-        return 0
-    raise ValueError(f"unknown command {args.command!r}")
+    _, run, keys = _COMMANDS[args.command]
+    kwargs = {"seed": args.seed} if "seed" in keys else {}
+    for key, value in _load_config(args.config).items():
+        if key not in keys:
+            raise ValueError(f"{key}: not a {args.command} config key; known: {', '.join(keys)}")
+        kwargs[keys[key][0]] = _value(key, value, keys[key][1])
+    if args.samples is not None and "samples" in keys:
+        kwargs["samples"] = args.samples
+    if hasattr(args, "workers"):  # registered on the pooled sweeps only
+        kwargs["workers"] = args.workers
+    result = run(**kwargs)
+    if isinstance(result, int):
+        return result
+    _emit(result, args.out, args.format)
+    return 0
 
 
 def main(argv: Optional[list] = None) -> int:

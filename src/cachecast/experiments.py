@@ -20,7 +20,7 @@ import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
-from typing import Callable, Iterable, Optional, Sequence, TextIO
+from typing import Callable, Optional, Sequence, TextIO
 
 import numpy as np
 

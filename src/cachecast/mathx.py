@@ -42,18 +42,31 @@ class ToleranceSpec:
 DEFAULT_TOL = ToleranceSpec()
 
 
-def lambert_w(x: float, tol: ToleranceSpec = DEFAULT_TOL) -> float:
-    """Principal branch of w * exp(w) = x for x >= 0.
+def lambert_w(x: float) -> float:
+    """Principal branch of w * exp(w) = x for finite x >= 0.
 
     Halley iteration seeded with log1p(x); the seed is already exact at the
     endpoints w(0) = 0 and asymptotically tight for large x, so a handful of
-    iterations reach |w e^w - x| <= abs_tol * (1 + x).
+    iterations reach |w e^w - x| <= abs_tol * (1 + x).  Above about
+    3.7e302, where Halley's step overflows, Newton's method solves
+    w + ln w = ln x instead.
     """
+    if not math.isfinite(x):
+        raise ValueError(f"lambert_w requires a finite x, got {x}")
     if x < 0.0:
         raise ValueError(f"lambert_w requires x >= 0, got {x}")
     if x == 0.0:
         return 0.0
+    tol = DEFAULT_TOL
     w = math.log1p(x)
+    if math.isinf((w + 2.0) * (w * math.exp(w) - x)):
+        log_x = math.log(x)
+        for _ in range(tol.max_iter):
+            step = (w + math.log(w) - log_x) / (1.0 + 1.0 / w)
+            w -= step
+            if abs(step) <= tol.rel_tol * w:
+                break
+        return w
     for _ in range(tol.max_iter):
         ew = math.exp(w)
         f = w * ew - x
@@ -65,29 +78,29 @@ def lambert_w(x: float, tol: ToleranceSpec = DEFAULT_TOL) -> float:
     return w
 
 
-def _lower_gamma_series(shape: float, x: float, tol: ToleranceSpec) -> float:
+def _lower_gamma_series(shape: float, x: float) -> float:
     # series for P(a, x), valid and fast for x < a + 1
     term = 1.0 / shape
     total = term
     a = shape
-    for _ in range(tol.max_iter * 10):
+    for _ in range(DEFAULT_TOL.max_iter * 10):
         a += 1.0
         term *= x / a
         total += term
-        if abs(term) < abs(total) * tol.rel_tol:
+        if abs(term) < abs(total) * DEFAULT_TOL.rel_tol:
             break
     log_prefactor = shape * math.log(x) - x - math.lgamma(shape)
     return total * math.exp(log_prefactor)
 
 
-def _upper_gamma_cf(shape: float, x: float, tol: ToleranceSpec) -> float:
+def _upper_gamma_cf(shape: float, x: float) -> float:
     # Lentz continued fraction for Q(a, x), valid for x >= a + 1
     tiny = 1e-300
     b = x + 1.0 - shape
     c = 1.0 / tiny
     d = 1.0 / b
     h = d
-    for i in range(1, tol.max_iter * 10):
+    for i in range(1, DEFAULT_TOL.max_iter * 10):
         an = -i * (i - shape)
         b += 2.0
         d = an * d + b
@@ -99,13 +112,13 @@ def _upper_gamma_cf(shape: float, x: float, tol: ToleranceSpec) -> float:
         d = 1.0 / d
         delta = d * c
         h *= delta
-        if abs(delta - 1.0) < tol.rel_tol:
+        if abs(delta - 1.0) < DEFAULT_TOL.rel_tol:
             break
     log_prefactor = shape * math.log(x) - x - math.lgamma(shape)
     return h * math.exp(log_prefactor)
 
 
-def reg_lower_gamma(shape: float, x: float, tol: ToleranceSpec = DEFAULT_TOL) -> float:
+def reg_lower_gamma(shape: float, x: float) -> float:
     """Regularized lower incomplete gamma P(shape, x) in [0, 1]."""
     if shape <= 0.0:
         raise ValueError(f"shape must be positive, got {shape}")
@@ -114,11 +127,11 @@ def reg_lower_gamma(shape: float, x: float, tol: ToleranceSpec = DEFAULT_TOL) ->
     if x == 0.0:
         return 0.0
     if x < shape + 1.0:
-        return min(_lower_gamma_series(shape, x, tol), 1.0)
-    return max(1.0 - _upper_gamma_cf(shape, x, tol), 0.0)
+        return min(_lower_gamma_series(shape, x), 1.0)
+    return max(1.0 - _upper_gamma_cf(shape, x), 0.0)
 
 
-def reg_upper_gamma(shape: float, x: float, tol: ToleranceSpec = DEFAULT_TOL) -> float:
+def reg_upper_gamma(shape: float, x: float) -> float:
     """Regularized upper incomplete gamma Q(shape, x) = 1 - P(shape, x)."""
     if shape <= 0.0:
         raise ValueError(f"shape must be positive, got {shape}")
@@ -127,8 +140,8 @@ def reg_upper_gamma(shape: float, x: float, tol: ToleranceSpec = DEFAULT_TOL) ->
     if x == 0.0:
         return 1.0
     if x < shape + 1.0:
-        return max(1.0 - _lower_gamma_series(shape, x, tol), 0.0)
-    return min(_upper_gamma_cf(shape, x, tol), 1.0)
+        return max(1.0 - _lower_gamma_series(shape, x), 0.0)
+    return min(_upper_gamma_cf(shape, x), 1.0)
 
 
 def maximize_1d(

@@ -10,26 +10,24 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence, Tuple
+from typing import Tuple
 
 import numpy as np
 
 from .caching import delivery_rate_multicast, delivery_rate_unicast, transmissions
 from .channel import RngStream, SystemConfig, sample_batches, scalars_per_draw
 from .mathx import DEFAULT_TOL, ToleranceSpec, maximize_1d
-from .multiplex import private_rate_values, symmetric_rate_mc, validate_zf_config, zf_stats
+from .multiplex import private_rate_values, validate_zf_config, zf_stats
 from .results import RateEstimate
 
 __all__ = [
     "PowerSplit",
     "MixedRates",
     "SplitOptimum",
-    "RegimePoint",
     "mixed_rates_mc",
     "mixed_rates_asymptotic",
     "optimal_split_numeric",
     "optimal_split_closed_form",
-    "regime_map",
 ]
 
 
@@ -108,13 +106,8 @@ class SplitOptimum:
 # common power fraction above which a split counts as "all multicast"
 SATURATION_FRAC = 0.999
 
-
-@dataclass(frozen=True)
-class RegimePoint:
-    per_user_power: float
-    normalized_cache: float
-    multicast_preferred: bool  # standalone multicasting beats standalone ZF
-    all_power_common: bool  # the mixed optimum puts everything on the common stream
+# stopping rule of the power-split search (optimal_split_numeric)
+_SPLIT_TOL = ToleranceSpec(rel_tol=1e-4, abs_tol=1e-9, max_iter=60)
 
 
 def _flow_values(
@@ -165,17 +158,16 @@ def mixed_rates_asymptotic(
     cfg: SystemConfig,
     split: PowerSplit,
     rng: RngStream = RngStream(0),
-    inner_samples: int = 10_000,
     simplified: bool = False,
 ) -> MixedRates:
     """Large-system flow rates for a given split.
 
     The private flow has a closed form.  The common flow keeps an
     expectation over the worst-user interference sum; it is estimated with
-    a small dedicated sampler (per-user leakage ~ Gamma(K-1, sigma2), worst
-    of K) unless `simplified` drops the maximization, which together with
-    the private term reproduces the tractable two-term objective used by
-    the closed-form split.
+    a small dedicated sampler (10^4 draws of the worst of K per-user
+    leakages ~ Gamma(K-1, sigma2)) unless `simplified` drops the
+    maximization, which together with the private term reproduces the
+    tractable two-term objective used by the closed-form split.
     """
     if cfg.num_tx_antennas < cfg.num_users:
         raise ValueError("zero forcing requires num_tx_antennas >= num_users")
@@ -191,7 +183,7 @@ def mixed_rates_asymptotic(
         )
     else:
         gen = rng.generator()
-        leak = gen.gamma(K - 1, scale=s2, size=(inner_samples, K)).max(axis=1)
+        leak = gen.gamma(K - 1, scale=s2, size=(10_000, K)).max(axis=1)
         common = float(np.log1p(split.common_power / (1.0 + p * (gain + leak))).mean())
     return MixedRates.compose(cfg, common, _asymptotic_private(cfg, split), flags=flags)
 
@@ -200,8 +192,6 @@ def optimal_split_numeric(
     cfg: SystemConfig,
     rng: RngStream,
     samples: int,
-    grid_points: int = 33,
-    tol: ToleranceSpec = ToleranceSpec(rel_tol=1e-4, abs_tol=1e-9, max_iter=60),
 ) -> SplitOptimum:
     """Argmax of the aggregated MC delivery rate over P0 in [0, P].
 
@@ -230,7 +220,7 @@ def optimal_split_numeric(
             rates[common_power] = K * float(c.mean()) / load + K * float(pv.mean()) / (1.0 - m)
         return rates[common_power]
 
-    best_p0, best_rate = maximize_1d(total_rate, 0.0, P, tol=tol, grid_points=grid_points)
+    best_p0, best_rate = maximize_1d(total_rate, 0.0, P, tol=_SPLIT_TOL, grid_points=33)
     for edge in (0.0, P):
         edge_rate = total_rate(edge)
         if edge_rate >= best_rate:
@@ -238,9 +228,7 @@ def optimal_split_numeric(
     return SplitOptimum(common_power=best_p0, rate=best_rate, at_boundary=False)
 
 
-def optimal_split_closed_form(
-    cfg: SystemConfig, tol: ToleranceSpec = DEFAULT_TOL
-) -> float:
+def optimal_split_closed_form(cfg: SystemConfig) -> float:
     """Stationary split of the simplified two-term objective, clamped to [0, P].
 
     P - P0 = ((-(1-m)(1+Ic P) + T (Ic-Ip)(1+P)) /
@@ -258,41 +246,8 @@ def optimal_split_closed_form(
     load = transmissions(cfg.placement, m, K)
     num = -(1.0 - m) * (1.0 + ic * P) + load * (ic - ip) * (1.0 + P)
     den = (1.0 - m) * ip * (1.0 + ic * P) - load * ic * (ic - ip)
-    if abs(den) <= tol.abs_tol:
+    if abs(den) <= DEFAULT_TOL.abs_tol:
         raise ValueError("degenerate split denominator; use the numeric optimizer")
     private_total = max(num / den, 0.0)
     return min(max(P - private_total, 0.0), P)
 
-
-def regime_map(
-    configs: Sequence[SystemConfig], rng: RngStream, samples: int
-) -> list[RegimePoint]:
-    """Classify each scenario: does pure multicasting beat pure ZF, and does
-    the mixed optimizer push all power to the common stream?
-
-    Each grid point runs on its own derived substream.
-    """
-    from .multicast import avg_rate_quasistatic
-
-    points = []
-    for i, cfg in enumerate(configs):
-        sub = rng.derive(i)
-        load = transmissions(cfg.placement, cfg.normalized_cache, cfg.num_users)
-        rmc = delivery_rate_multicast(
-            load, avg_rate_quasistatic(cfg, sub.derive(0), samples).mean, cfg.num_users
-        )
-        ruc = delivery_rate_unicast(
-            cfg.normalized_cache,
-            symmetric_rate_mc(cfg, sub.derive(1), samples).mean,
-            cfg.num_users,
-        )
-        opt = optimal_split_numeric(cfg, sub.derive(2), samples)
-        points.append(
-            RegimePoint(
-                per_user_power=cfg.total_power / cfg.num_users,
-                normalized_cache=cfg.normalized_cache,
-                multicast_preferred=rmc >= ruc,
-                all_power_common=opt.saturated(cfg.total_power),
-            )
-        )
-    return points

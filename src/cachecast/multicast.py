@@ -25,7 +25,6 @@ from .channel import (
 from .results import RateEstimate
 
 __all__ = [
-    "AsymptoticParams",
     "AsymptoticRate",
     "extreme_value_scale",
     "avg_rate_quasistatic",
@@ -38,37 +37,6 @@ __all__ = [
 def extreme_value_scale(nt: int, num_users: int) -> float:
     """a_K = nt * (K / nt!)^(1/nt), evaluated in log space."""
     return nt * math.exp((math.log(num_users) - math.lgamma(nt + 1)) / nt)
-
-
-@dataclass(frozen=True)
-class AsymptoticParams:
-    a_k: float
-    regime: str  # "small_array" | "large_array"
-    power_regime: str  # "vanishing" | "constant" | "growing"
-
-    @classmethod
-    def classify(cls, cfg: SystemConfig) -> "AsymptoticParams":
-        nt, K, P = cfg.num_tx_antennas, cfg.num_users, cfg.total_power
-        a_k = extreme_value_scale(nt, K)
-        if nt >= math.log(K):
-            regime = "large_array"
-            # large-array rows split on P alone
-            if P < 1.0:
-                power = "vanishing"
-            elif P > 10.0:
-                power = "growing"
-            else:
-                power = "constant"
-        else:
-            regime = "small_array"
-            ratio = P * K ** (-1.0 / nt)
-            if ratio < 1.0:
-                power = "vanishing"
-            elif ratio > 10.0:
-                power = "growing"
-            else:
-                power = "constant"
-        return cls(a_k=a_k, regime=regime, power_regime=power)
 
 
 @dataclass(frozen=True)
@@ -138,16 +106,15 @@ def asymptotic_rate(cfg: SystemConfig) -> AsymptoticRate:
     representatives P and ln(1 + P).  Theta-rows carry a representative
     value, not a constant-accurate prediction.
     """
-    params = AsymptoticParams.classify(cfg)
-    nt, P = cfg.num_tx_antennas, cfg.total_power
-    if params.regime == "small_array":
-        mean_snr = (P / params.a_k) * math.gamma(1.0 + 1.0 / nt)
-        value = mean_snr if params.power_regime == "vanishing" else math.log1p(mean_snr)
+    nt, K, P = cfg.num_tx_antennas, cfg.num_users, cfg.total_power
+    a_k = extreme_value_scale(nt, K)
+    # large arrays split on P alone, small arrays on P relative to K^(1/nt)
+    regime = "large_array" if nt >= math.log(K) else "small_array"
+    ratio = P if regime == "large_array" else P * K ** (-1.0 / nt)
+    power = "vanishing" if ratio < 1.0 else "growing" if ratio > 10.0 else "constant"
+    if regime == "small_array":
+        mean_snr = (P / a_k) * math.gamma(1.0 + 1.0 / nt)
+        value = mean_snr if power == "vanishing" else math.log1p(mean_snr)
     else:
-        value = P if params.power_regime == "vanishing" else math.log1p(P)
-    return AsymptoticRate(
-        value=value,
-        regime=params.regime,
-        power_regime=params.power_regime,
-        a_k=params.a_k,
-    )
+        value = P if power == "vanishing" else math.log1p(P)
+    return AsymptoticRate(value=value, regime=regime, power_regime=power, a_k=a_k)

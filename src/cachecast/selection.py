@@ -17,7 +17,6 @@ from .mathx import DEFAULT_TOL, ToleranceSpec, lambert_w, maximize_1d, reg_upper
 from .results import RateEstimate
 
 __all__ = [
-    "ThresholdPolicy",
     "SelectionEstimate",
     "optimal_threshold_rayleigh",
     "optimal_threshold_general",
@@ -28,21 +27,13 @@ __all__ = [
 
 
 @dataclass(frozen=True)
-class ThresholdPolicy:
-    """A linear SNR threshold and the mean number of users clearing it."""
-
-    threshold: float
-    expected_selected: float
-
-    @classmethod
-    def rayleigh(cls, threshold: float, total_power: float, num_users: int) -> "ThresholdPolicy":
-        return cls(threshold, num_users * math.exp(-threshold / total_power))
-
-
-@dataclass(frozen=True)
 class SelectionEstimate:
     rate: RateEstimate
     selected_fraction: float
+
+
+# stopping rule of the simulated threshold search (empirical_optimal_threshold)
+_SEARCH_TOL = ToleranceSpec(rel_tol=1e-4, abs_tol=1e-6, max_iter=60)
 
 
 def optimal_threshold_rayleigh(total_power: float) -> float:
@@ -56,7 +47,6 @@ def optimal_threshold_general(
     cdf: Callable[[float], float],
     pdf: Callable[[float], float],
     bracket: Tuple[float, float],
-    tol: ToleranceSpec = DEFAULT_TOL,
 ) -> float:
     """Optimal threshold for an arbitrary differentiable SNR distribution.
 
@@ -78,6 +68,7 @@ def optimal_threshold_general(
         return hi
     if r_lo * r_hi > 0.0:
         raise ValueError("no sign change of the optimality condition in the bracket")
+    tol = DEFAULT_TOL
     for _ in range(tol.max_iter):
         mid = 0.5 * (lo + hi)
         r_mid = residual(mid)
@@ -133,8 +124,6 @@ def empirical_optimal_threshold(
     rng: RngStream,
     samples: int,
     bracket: Tuple[float, float],
-    tol: ToleranceSpec = ToleranceSpec(rel_tol=1e-4, abs_tol=1e-6, max_iter=60),
-    grid_points: int = 41,
 ) -> float:
     """Simulated argmax of the selection delivery rate over the bracket.
 
@@ -146,5 +135,5 @@ def empirical_optimal_threshold(
     def rate_at(s: float) -> float:
         return simulated_selection_rate(cfg, s, rng, samples).rate.mean
 
-    best_s, _ = maximize_1d(rate_at, bracket[0], bracket[1], tol=tol, grid_points=grid_points)
+    best_s, _ = maximize_1d(rate_at, bracket[0], bracket[1], tol=_SEARCH_TOL, grid_points=41)
     return best_s

@@ -3,7 +3,6 @@ import math
 import pytest
 
 from cachecast.caching import (
-    CacheLoad,
     delivery_rate_multicast,
     delivery_rate_selection,
     delivery_rate_unicast,
@@ -49,11 +48,6 @@ def test_load_validation():
         transmissions("decentralized", 0.5, 0)
     with pytest.raises(ValueError):
         transmissions("mixed", 0.5, 4)
-
-
-def test_cache_load_compute():
-    load = CacheLoad.compute("centralized", 0.2, 5)
-    assert load.load == transmissions("centralized", 0.2, 5)
 
 
 def test_delivery_rate_multicast_conventions():

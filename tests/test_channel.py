@@ -8,11 +8,9 @@ from cachecast.channel import (
     SystemConfig,
     _complex_normal,
     batch_counts,
-    draw_channel,
     draw_channel_batch,
     exact_min_mean,
     min_norm_statistic,
-    per_user_snr,
     scalars_per_draw,
     squared_row_norms,
     substacks,
@@ -24,6 +22,9 @@ def test_config_validation():
         SystemConfig(num_users=0, num_tx_antennas=1, total_power=1.0)
     with pytest.raises(ValueError):
         SystemConfig(num_users=1, num_tx_antennas=1, total_power=-1.0)
+    for power in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="finite"):
+            SystemConfig(num_users=1, num_tx_antennas=1, total_power=power)
     with pytest.raises(ValueError):
         SystemConfig(num_users=1, num_tx_antennas=1, total_power=1.0, normalized_cache=1.5)
     with pytest.raises(ValueError):
@@ -34,8 +35,9 @@ def test_config_validation():
 
 def test_split_holds_bit_exactly():
     cfg = SystemConfig(num_users=3, num_tx_antennas=4, total_power=5.0, csit_error_var=0.3)
-    draw = draw_channel(cfg, RngStream(1))
-    np.testing.assert_array_equal(draw.true_h, draw.est_h + draw.err_h)
+    true, est, err = draw_channel_batch(cfg, RngStream(1).generator(), 3)
+    assert true.shape == (3, 1, 3, 4)
+    np.testing.assert_array_equal(true, est + err)
 
 
 @pytest.mark.parametrize("shape", [(1,), (7, 3), (4, 1, 5, 6)])
@@ -51,13 +53,13 @@ def test_complex_normal_matches_reference_formula_bit_for_bit(shape, var):
 
 def test_degenerate_error_variances():
     perfect = SystemConfig(num_users=2, num_tx_antennas=2, total_power=1.0, csit_error_var=0.0)
-    d = draw_channel(perfect, RngStream(2))
-    np.testing.assert_array_equal(d.est_h, d.true_h)
-    assert np.all(d.err_h == 0)
+    true, est, err = draw_channel_batch(perfect, RngStream(2).generator(), 2)
+    np.testing.assert_array_equal(est, true)
+    assert np.all(err == 0)
     blind = SystemConfig(num_users=2, num_tx_antennas=2, total_power=1.0, csit_error_var=1.0)
-    d = draw_channel(blind, RngStream(2))
-    np.testing.assert_array_equal(d.err_h, d.true_h)
-    assert np.all(d.est_h == 0)
+    true, est, err = draw_channel_batch(blind, RngStream(2).generator(), 2)
+    np.testing.assert_array_equal(err, true)
+    assert np.all(est == 0)
 
 
 def test_entry_variances():
@@ -70,9 +72,9 @@ def test_entry_variances():
 
 def test_stream_reproducibility_and_independence():
     cfg = SystemConfig(num_users=2, num_tx_antennas=2, total_power=1.0)
-    a = draw_channel(cfg, RngStream(7, 1)).true_h
-    b = draw_channel(cfg, RngStream(7, 1)).true_h
-    c = draw_channel(cfg, RngStream(7, 2)).true_h
+    a = draw_channel_batch(cfg, RngStream(7, 1).generator(), 1)[0]
+    b = draw_channel_batch(cfg, RngStream(7, 1).generator(), 1)[0]
+    c = draw_channel_batch(cfg, RngStream(7, 2).generator(), 1)[0]
     np.testing.assert_array_equal(a, b)
     assert not np.array_equal(a, c)
 
@@ -82,18 +84,6 @@ def test_derive_is_deterministic_and_distinct():
     assert root.derive(3) == root.derive(3)
     assert root.derive(3) != root.derive(4)
     assert root.derive(0) != root
-
-
-def test_per_user_snr_shape_and_bounds():
-    cfg = SystemConfig(num_users=5, num_tx_antennas=3, total_power=9.0, num_subchannels=2)
-    draw = draw_channel(cfg, RngStream(5))
-    snr = per_user_snr(cfg, draw, l=2)
-    assert snr.shape == (5,)
-    assert np.all(snr >= 0)
-    with pytest.raises(IndexError):
-        per_user_snr(cfg, draw, l=3)
-    with pytest.raises(IndexError):
-        per_user_snr(cfg, draw, l=0)
 
 
 def test_squared_row_norms():

@@ -2,9 +2,11 @@ import io
 import json
 import math
 import sys
+from pathlib import Path
 
 import pytest
 
+from cachecast import cli
 from cachecast.cli import main
 from cachecast.experiments import (
     CSV_SCHEMA,
@@ -161,3 +163,50 @@ def test_cli_check_passes(capsys):
     assert main(["check"]) == 0
     out = capsys.readouterr().out
     assert "pass" in out
+
+
+@pytest.mark.parametrize(
+    "command, config, key",
+    [
+        ("fig1", '{"K": "100"}', "K"),
+        ("fig1", '{"sigma": 0.5}', "sigma"),
+        ("sweep", '{"P_dB": [1e400]}', "P_dB"),
+        ("fig2", '{"P_dB": [NaN]}', "P_dB"),
+        ("fig1", '{"K": [20.5]}', "K"),
+        ("split", '{"samples": "10"}', "samples"),
+        ("fig3", '{"m": [true]}', "m"),
+        ("sweep", '{"nt": 4.5}', "nt"),
+        ("threshold", '{"P_dB": [30]}', "P_dB"),
+        ("check", '{"samples": 10}', "samples"),
+    ],
+)
+def test_cli_rejects_bad_config_values(command, config, key, tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    path.write_text(config)
+    assert main([command, "--config", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {key}: ") and err.count("\n") == 1
+
+
+def test_cli_forwards_only_the_config_keys(tmp_path, capsys):
+    # absent keys take run_fig2's defaults; integral numbers count as integers
+    path = tmp_path / "fig2.json"
+    path.write_text(json.dumps({"K": [50.0], "samples": 500.0}))
+    assert main(["fig2", "--config", str(path), "--format", "json"]) == 0
+    rows = json.loads(capsys.readouterr().out)["rows"]
+    expected = run_fig2(seed=42, samples=500, k_grid=(50,))
+    assert [(r["scheme"], r["K"], r["P_dB"], r["mean_nats"]) for r in rows] == [
+        (r.scheme, r.K, r.P_dB, r.mean_nats) for r in expected.rows
+    ]
+
+
+def test_bench_configs_pass_the_config_schema(monkeypatch):
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "bench"))
+    import workloads
+
+    for w in workloads.WORKLOADS.values():
+        keys = cli._COMMANDS[w.command][2]
+        for config in (w.config(20170320), w.warmup_config(20170320)):
+            for key, value in config.items():
+                assert key in keys, (w.name, key)
+                cli._value(key, value, keys[key][1])  # raises ValueError on a bad value

@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -36,8 +37,18 @@ def test_lambert_w_matches_scipy():
 
 def test_lambert_w_edge_cases():
     assert lambert_w(0.0) == 0.0
-    with pytest.raises(ValueError):
-        lambert_w(-0.1)
+    for bad in (-0.1, math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError):
+            lambert_w(bad)
+
+
+@pytest.mark.parametrize("x", [3.7e302, 1e305, 2.6e305, 1e308, sys.float_info.max])
+def test_lambert_w_stays_finite_up_to_the_largest_float(x):
+    # above about 3.7e302 Halley's step on w e^w - x overflows; the log form
+    # w + ln w = ln x takes over
+    w = lambert_w(x)
+    assert math.isfinite(w)
+    assert w + math.log(w) == pytest.approx(math.log(x), rel=4 * sys.float_info.epsilon)
 
 
 def test_regularized_gammas_match_scipy():

@@ -8,6 +8,7 @@ import pytest
 from cachecast import mixed
 from cachecast.caching import transmissions
 from cachecast.channel import RngStream, SystemConfig, batch_counts, scalars_per_draw
+from cachecast.experiments import run_fig3_4_5
 from cachecast.mathx import maximize_1d
 from cachecast.mixed import (
     MixedRates,
@@ -16,7 +17,6 @@ from cachecast.mixed import (
     mixed_rates_mc,
     optimal_split_closed_form,
     optimal_split_numeric,
-    regime_map,
 )
 from cachecast.multicast import avg_rate_quasistatic
 from cachecast.multiplex import symmetric_rate_mc, zf_stats
@@ -217,11 +217,10 @@ def test_closed_form_near_stationary_on_simplified_objective():
     assert abs(p0_closed - p0_num) < 0.02 * P
 
 
-def test_regime_map_extremes():
-    configs = [
-        cfg(K=16, nt=32, P=1600.0, m=0.001, s2=0.0),  # tiny cache, high power
-        cfg(K=16, nt=16, P=16.0, m=0.9, s2=0.0),  # big cache, low power, weak ZF
-    ]
-    points = regime_map(configs, RngStream(56), 150)
-    assert not points[0].multicast_preferred and not points[0].all_power_common
-    assert points[1].multicast_preferred and points[1].all_power_common
+def test_fig5_flags_at_the_cache_extremes():
+    # the mixed_opt flags are the one regime classification: a tiny cache
+    # favours ZF and a split, a large one multicasting with all power common
+    res = run_fig3_4_5(seed=42, samples=30, p_db_grid=(10.0,), m_grid=(0.01, 0.5))
+    flags = {r.m: r.flags.split(";") for r in res.rows if r.scheme == "mixed_opt"}
+    assert "all_common" not in flags[0.01] and "mc_preferred" not in flags[0.01]
+    assert "all_common" in flags[0.5] and "mc_preferred" in flags[0.5]

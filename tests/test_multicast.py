@@ -13,7 +13,6 @@ from cachecast.channel import (
     squared_row_norms,
 )
 from cachecast.multicast import (
-    AsymptoticParams,
     asymptotic_rate,
     avg_rate_parallel,
     avg_rate_quasistatic,
@@ -35,12 +34,14 @@ def test_extreme_value_scale():
 
 
 def test_regime_classification():
-    small = AsymptoticParams.classify(cfg(10_000, 2, 1.0))
+    small = asymptotic_rate(cfg(10_000, 2, 1.0))
     assert small.regime == "small_array" and small.power_regime == "vanishing"
-    grown = AsymptoticParams.classify(cfg(100, 2, 10_000.0))
+    assert small.a_k == extreme_value_scale(2, 10_000)
+    grown = asymptotic_rate(cfg(100, 2, 10_000.0))
     assert grown.regime == "small_array" and grown.power_regime == "growing"
-    big = AsymptoticParams.classify(cfg(100, 8, 0.5))
+    big = asymptotic_rate(cfg(100, 8, 0.5))
     assert big.regime == "large_array" and big.power_regime == "vanishing"
+    assert big.value == 0.5
 
 
 def test_single_user_rate_matches_quadrature():

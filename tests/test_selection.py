@@ -5,7 +5,6 @@ import pytest
 from cachecast.channel import RngStream, SystemConfig
 from cachecast.mathx import lambert_w
 from cachecast.selection import (
-    ThresholdPolicy,
     empirical_optimal_threshold,
     optimal_threshold_general,
     optimal_threshold_rayleigh,
@@ -43,11 +42,6 @@ def test_general_solver_rejects_bad_bracket():
         optimal_threshold_general(cdf, pdf, bracket=(1.0, 2.0))
     with pytest.raises(ValueError):
         optimal_threshold_general(cdf, pdf, bracket=(5.0, 5.0))
-
-
-def test_threshold_policy_expected_selected():
-    pol = ThresholdPolicy.rayleigh(100.0, 1000.0, 500)
-    assert pol.expected_selected == pytest.approx(500 * math.exp(-0.1))
 
 
 def test_snr_above_probability():
