@@ -34,14 +34,12 @@ from .multiplex import (
     build_zf_precoder,
     symmetric_rate_asymptotic,
     symmetric_rate_mc,
-    symmetric_rate_surrogate,
     zf_beams,
     zf_stats,
 )
 from .results import RateEstimate
 from .selection import (
     empirical_optimal_threshold,
-    optimal_threshold_general,
     optimal_threshold_rayleigh,
     simulated_selection_rate,
 )
@@ -72,13 +70,11 @@ __all__ = [
     "mixed_rates_mc",
     "optimal_split_closed_form",
     "optimal_split_numeric",
-    "optimal_threshold_general",
     "optimal_threshold_rayleigh",
     "parallel_rate_bounds",
     "simulated_selection_rate",
     "symmetric_rate_asymptotic",
     "symmetric_rate_mc",
-    "symmetric_rate_surrogate",
     "transmissions",
     "zf_beams",
     "zf_stats",

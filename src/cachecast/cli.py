@@ -11,68 +11,23 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import Optional, Sequence
+from typing import Optional
 
-from . import mixed, multiplex, selection
-from .channel import RngStream, SystemConfig
+from . import mixed, selection
+from .channel import RngStream
 from .experiments import (
     FIG345_USERS,
     SweepResult,
-    SweepRow,
-    _multicast_row,
     db_to_linear,
-    default_samples,
     fig345_config,
     run_fig1,
     run_fig2,
     run_fig3_4_5,
     run_property_suite,
+    run_sweep,
 )
 
 __all__ = ["main", "build_parser"]
-
-
-def _sweep(
-    seed: int,
-    samples: Optional[int] = None,
-    scheme: str = "multicast",
-    num_users: int = 100,
-    nt: Optional[int] = None,
-    subchannels: int = 1,
-    p_db_grid: Sequence[float] = (20.0,),
-    m_grid: Sequence[float] = (0.1,),
-    sigma2: float = 0.0,
-    placement: str = "decentralized",
-) -> SweepResult:
-    """Generic sweep: one scheme over grids of P_dB and m; nt defaults to K."""
-    if scheme not in ("multicast", "multiplex"):
-        raise ValueError(f"unknown sweep scheme {scheme!r}")
-    n = samples if samples is not None else default_samples(num_users)
-    rows = []
-    for idx, (p_db, m) in enumerate((p, m) for p in p_db_grid for m in m_grid):
-        p_db, m = float(p_db), float(m)
-        scenario = SystemConfig(
-            num_users=num_users,
-            num_tx_antennas=num_users if nt is None else nt,
-            total_power=db_to_linear(p_db),
-            num_subchannels=subchannels,
-            normalized_cache=m,
-            csit_error_var=sigma2,
-            placement=placement,
-        )
-        sub = RngStream(seed).derive(idx)
-        if scheme == "multicast":
-            rows.append(_multicast_row(scheme, scenario, p_db, sub, n))
-            continue
-        est = multiplex.symmetric_rate_mc(scenario, sub, n).scaled(num_users / (1.0 - m))
-        rows.append(
-            SweepRow(
-                scheme=scheme, K=num_users, nt=scenario.num_tx_antennas, L=subchannels,
-                P_dB=p_db, m=m, sigma2=sigma2, P0_frac=0.0, mean_nats=est.mean,
-                std_err=est.std_err, samples=n, seed=seed,
-            )
-        )
-    return SweepResult(rows=tuple(rows)).sorted()
 
 
 def _mixed_opt_rows(**kwargs) -> SweepResult:
@@ -134,7 +89,7 @@ _COMMANDS = {
              _FIG345),
     "fig4": ("optimal common power fraction vs cache size", _mixed_opt_rows, _FIG345),
     "fig5": ("preferable and optimal regions of coded multicasting", _mixed_opt_rows, _FIG345),
-    "sweep": ("generic sweep driven entirely by a config file", _sweep, _SWEEP),
+    "sweep": ("generic sweep driven entirely by a config file", run_sweep, _SWEEP),
     "check": ("run the cross-module property suite", _check, _SEED),
     "threshold": ("print the optimal selection threshold for a power", _threshold,
                   {"P_dB": ("p_db", "float")}),
@@ -142,20 +97,29 @@ _COMMANDS = {
 }
 
 
+# the commands that write rows (--out, --format), and those run on a thread pool
+_POOLED = ("fig3", "fig4", "fig5")
+_SWEEPS = ("fig1", "fig2", *_POOLED, "sweep")
+
+
 def build_parser() -> argparse.ArgumentParser:
+    """One subparser per command, with only the flags that command reads."""
     parser = argparse.ArgumentParser(
         prog="cachecast",
         description="Content delivery rate sweeps for cache-aided multi-antenna downlinks",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (brief, _, _) in _COMMANDS.items():
+    for name, (brief, _, keys) in _COMMANDS.items():
         cmd = sub.add_parser(name, help=brief)
         cmd.add_argument("--config", type=str, default=None, help="JSON config file")
-        cmd.add_argument("--seed", type=int, default=42)
-        cmd.add_argument("--samples", type=int, default=None)
-        cmd.add_argument("--out", type=str, default=None)
-        cmd.add_argument("--format", choices=("csv", "json"), default="csv")
-        if name in ("fig3", "fig4", "fig5"):
+        if "seed" in keys:
+            cmd.add_argument("--seed", type=int, default=42)
+        if "samples" in keys:
+            cmd.add_argument("--samples", type=int, default=None)
+        if name in _SWEEPS:
+            cmd.add_argument("--out", type=str, default=None)
+            cmd.add_argument("--format", choices=("csv", "json"), default="csv")
+        if name in _POOLED:
             cmd.add_argument(
                 "--workers",
                 type=int,
@@ -211,20 +175,20 @@ def _emit(result: SweepResult, out: Optional[str], fmt: str) -> None:
 
 
 def _run(args: argparse.Namespace) -> int:
-    _, run, keys = _COMMANDS[args.command]
-    kwargs = {"seed": args.seed} if "seed" in keys else {}
-    for key, value in _load_config(args.config).items():
+    kwargs = dict(vars(args))  # after the pops: --seed and --workers, where registered
+    _, run, keys = _COMMANDS[kwargs.pop("command")]
+    config, samples = kwargs.pop("config"), kwargs.pop("samples", None)
+    out, fmt = kwargs.pop("out", None), kwargs.pop("format", None)
+    for key, value in _load_config(config).items():
         if key not in keys:
             raise ValueError(f"{key}: not a {args.command} config key; known: {', '.join(keys)}")
         kwargs[keys[key][0]] = _value(key, value, keys[key][1])
-    if args.samples is not None and "samples" in keys:
-        kwargs["samples"] = args.samples
-    if hasattr(args, "workers"):  # registered on the pooled sweeps only
-        kwargs["workers"] = args.workers
+    if samples is not None:
+        kwargs["samples"] = samples
     result = run(**kwargs)
-    if isinstance(result, int):
+    if fmt is None:  # a command that prints its own report and exit code
         return result
-    _emit(result, args.out, args.format)
+    _emit(result, out, fmt)
     return 0
 
 

@@ -4,12 +4,22 @@ Every sweep row records the scheme, the full parameter point, and the
 (seed, samples) pair, so any row can be regenerated bit-identically.  All
 internal math is linear; decibels appear only in the row metadata.
 
-The fig3/4/5 grid points run on a thread pool (`workers`, by default the
-CPUs this process may use).  Each point draws from its own derived
-substreams and the rows are collected in grid order, so the result is the
-same at any worker count.  numpy releases the interpreter lock in its
-random fills, ufuncs and LAPACK calls, which is where the points spend
-their time.
+Every sweep runs through one grid loop, `_sweep`.  It hands grid point i
+the root RngStream(seed) and i; the point derives its own substreams and
+builds its rows through `_row`, the one place a row's K, nt, L, m and
+sigma2 are filled in.  Grids run P_dB-major, over K for fig1/fig2 and over
+m for fig3/4/5 and sweep.  Substreams of grid point i:
+
+- fig1: derive(4i + j) for j = mc_nt1, mc_select, mc_ntlog, mc_parallel;
+- fig2: derive(i);
+- fig3/4/5: derive(i).derive(j) for j = multicast, multiplex, mixed_opt;
+- sweep: derive(i).
+
+The fig3/4/5 points run on a thread pool (`workers`, by default the CPUs
+this process may use).  The rows are collected in grid order, so the
+result is the same at any worker count.  numpy releases the interpreter
+lock in its random fills, ufuncs and LAPACK calls, which is where the
+points spend their time.
 """
 
 from __future__ import annotations
@@ -34,11 +44,11 @@ __all__ = [
     "PropertySuiteReport",
     "CSV_SCHEMA",
     "db_to_linear",
-    "linear_to_db",
     "default_samples",
     "run_fig1",
     "run_fig2",
     "run_fig3_4_5",
+    "run_sweep",
     "run_property_suite",
 ]
 
@@ -63,12 +73,6 @@ COLUMNS = (
 
 def db_to_linear(x_db: float) -> float:
     return 10.0 ** (x_db / 10.0)
-
-
-def linear_to_db(x: float) -> float:
-    if x <= 0.0:
-        raise ValueError("dB conversion needs a positive value")
-    return 10.0 * math.log10(x)
 
 
 def default_samples(num_users: int) -> int:
@@ -134,20 +138,40 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def _map(fn: Callable, items: Sequence, workers: int) -> list:
-    """[fn(it) for it in items] on at most `workers` threads, in item order."""
-    workers = min(workers, len(items))
+def _sweep(seed: int, points: Sequence[tuple], point_rows: Callable, workers: int = 1) -> SweepResult:
+    """The one grid loop: point_rows(RngStream(seed), i, *points[i]) for each i.
+
+    Each point derives its own substreams from the root and index it is
+    given.  The points run on at most `workers` threads and their rows are
+    collected in grid order, so the result does not depend on the count.
+    """
+    base = RngStream(seed)
+
+    def rows_at(i: int) -> list:
+        return point_rows(base, i, *points[i])
+
+    workers = min(workers, len(points))
     if workers <= 1:
-        return [fn(it) for it in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
+        chunks = [rows_at(i) for i in range(len(points))]
+    else:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            chunks = list(pool.map(rows_at, range(len(points))))
+    return SweepResult(rows=tuple(row for chunk in chunks for row in chunk)).sorted()
 
 
-# --- Fig. 1: multicasting schemes vs K ------------------------------------
+def _row(
+    cfg: SystemConfig, p_db: float, samples: int, seed: int,
+    scheme: str, p0_frac: float, mean: float, std_err: float = 0.0, flags: str = "",
+) -> SweepRow:
+    """The one place a row is located: K, nt, L, m and sigma2 come from cfg.
 
-FIG1_K_GRID = (50, 100, 200, 400, 800)
-FIG1_P_DB = (30.0, 40.0)
-FIG1_M = 0.05
+    P_dB is written as the grid gave it (fig3/4/5 grids are per-user power).
+    """
+    return SweepRow(
+        scheme=scheme, K=cfg.num_users, nt=cfg.num_tx_antennas, L=cfg.num_subchannels, P_dB=p_db,
+        m=cfg.normalized_cache, sigma2=cfg.csit_error_var, P0_frac=p0_frac, mean_nats=mean,
+        std_err=std_err, samples=samples, seed=seed, flags=flags,
+    )
 
 
 def _multicast_row(
@@ -158,21 +182,23 @@ def _multicast_row(
     else:
         est = multicast.avg_rate_parallel(cfg, rng, samples)
     load = caching.transmissions(cfg.placement, cfg.normalized_cache, cfg.num_users)
-    delivered = est.scaled(cfg.num_users / load)
-    return SweepRow(
-        scheme=scheme,
-        K=cfg.num_users,
-        nt=cfg.num_tx_antennas,
-        L=cfg.num_subchannels,
-        P_dB=p_db,
-        m=cfg.normalized_cache,
-        sigma2=cfg.csit_error_var,
-        P0_frac=1.0,
-        mean_nats=delivered.mean,
-        std_err=delivered.std_err,
-        samples=samples,
-        seed=rng.seed,
-    )
+    rate = est.scaled(cfg.num_users / load)
+    return _row(cfg, p_db, samples, rng.seed, scheme, 1.0, rate.mean, rate.std_err)
+
+
+def _multiplex_row(
+    scheme: str, cfg: SystemConfig, p_db: float, rng: RngStream, samples: int
+) -> SweepRow:
+    est = multiplex.symmetric_rate_mc(cfg, rng, samples)
+    rate = est.scaled(cfg.num_users / (1.0 - cfg.normalized_cache))
+    return _row(cfg, p_db, samples, rng.seed, scheme, 0.0, rate.mean, rate.std_err)
+
+
+# --- Fig. 1: multicasting schemes vs K ------------------------------------
+
+FIG1_K_GRID = (50, 100, 200, 400, 800)
+FIG1_P_DB = (30.0, 40.0)
+FIG1_M = 0.05
 
 
 def run_fig1(
@@ -188,46 +214,26 @@ def run_fig1(
     nt = floor(ln K) antennas; single antenna over L = floor(ln K)
     sub-channels.
     """
-    base = RngStream(seed)
-    rows = []
-    idx = 0
-    for p_db in p_db_grid:
+
+    def point(base: RngStream, i: int, p_db: float, K: int) -> list:
         P = db_to_linear(p_db)
-        for K in k_grid:
-            n = samples if samples is not None else default_samples(K)
-            n_log = max(1, int(math.floor(math.log(K))))
-            cfg1 = SystemConfig(num_users=K, num_tx_antennas=1, total_power=P, normalized_cache=m)
-            rows.append(_multicast_row("mc_nt1", cfg1, p_db, base.derive(idx), n))
-            s_star = selection.optimal_threshold_rayleigh(P)
-            sel = caching.delivery_rate_selection(m, s_star, P, K, base.derive(idx + 1), n)
-            rows.append(
-                SweepRow(
-                    scheme="mc_select",
-                    K=K,
-                    nt=1,
-                    L=1,
-                    P_dB=p_db,
-                    m=m,
-                    sigma2=0.0,
-                    P0_frac=1.0,
-                    mean_nats=sel.mean,
-                    std_err=sel.std_err,
-                    samples=n,
-                    seed=seed,
-                )
-            )
-            cfg3 = SystemConfig(num_users=K, num_tx_antennas=n_log, total_power=P, normalized_cache=m)
-            rows.append(_multicast_row("mc_ntlog", cfg3, p_db, base.derive(idx + 2), n))
-            cfg4 = SystemConfig(
-                num_users=K,
-                num_tx_antennas=1,
-                total_power=P,
-                num_subchannels=n_log,
-                normalized_cache=m,
-            )
-            rows.append(_multicast_row("mc_parallel", cfg4, p_db, base.derive(idx + 3), n))
-            idx += 4
-    return SweepResult(rows=tuple(rows)).sorted()
+        n = samples if samples is not None else default_samples(K)
+        n_log = max(1, int(math.floor(math.log(K))))
+        cfg1 = SystemConfig(num_users=K, num_tx_antennas=1, total_power=P, normalized_cache=m)
+        s_star = selection.optimal_threshold_rayleigh(P)
+        sel = caching.delivery_rate_selection(m, s_star, P, K, base.derive(4 * i + 1), n)
+        cfg3 = SystemConfig(num_users=K, num_tx_antennas=n_log, total_power=P, normalized_cache=m)
+        cfg4 = SystemConfig(
+            num_users=K, num_tx_antennas=1, total_power=P, num_subchannels=n_log, normalized_cache=m
+        )
+        return [
+            _multicast_row("mc_nt1", cfg1, p_db, base.derive(4 * i), n),
+            _row(cfg1, p_db, n, seed, "mc_select", 1.0, sel.mean, sel.std_err),
+            _multicast_row("mc_ntlog", cfg3, p_db, base.derive(4 * i + 2), n),
+            _multicast_row("mc_parallel", cfg4, p_db, base.derive(4 * i + 3), n),
+        ]
+
+    return _sweep(seed, [(p_db, K) for p_db in p_db_grid for K in k_grid], point)
 
 
 # --- Fig. 2: optimal selection threshold, empirical vs closed form --------
@@ -244,31 +250,22 @@ def run_fig2(
     m: float = FIG1_M,
 ) -> SweepResult:
     """Optimal SNR threshold vs K: simulated argmax against P/W(P) - 1."""
-    base = RngStream(seed)
-    rows = []
-    idx = 0
-    for p_db in p_db_grid:
-        P = db_to_linear(p_db)
-        s_closed = selection.optimal_threshold_rayleigh(P)
-        for K in k_grid:
-            n = samples if samples is not None else default_samples(K)
-            cfg = SystemConfig(
-                num_users=K, num_tx_antennas=1, total_power=P, normalized_cache=m
-            )
-            s_emp = selection.empirical_optimal_threshold(
-                cfg, base.derive(idx), n, bracket=(1.0, 3.0 * s_closed)
-            )
-            common = dict(
-                K=K, nt=1, L=1, P_dB=p_db, m=m, sigma2=0.0, P0_frac=1.0, samples=n, seed=seed
-            )
-            rows.append(
-                SweepRow(scheme="threshold_empirical", mean_nats=s_emp, std_err=0.0, **common)
-            )
-            rows.append(
-                SweepRow(scheme="threshold_closed", mean_nats=s_closed, std_err=0.0, **common)
-            )
-            idx += 1
-    return SweepResult(rows=tuple(rows)).sorted()
+    closed = {p_db: selection.optimal_threshold_rayleigh(db_to_linear(p_db)) for p_db in p_db_grid}
+
+    def point(base: RngStream, i: int, p_db: float, K: int) -> list:
+        n = samples if samples is not None else default_samples(K)
+        cfg = SystemConfig(
+            num_users=K, num_tx_antennas=1, total_power=db_to_linear(p_db), normalized_cache=m
+        )
+        s_emp = selection.empirical_optimal_threshold(
+            cfg, base.derive(i), n, bracket=(1.0, 3.0 * closed[p_db])
+        )
+        return [
+            _row(cfg, p_db, n, seed, "threshold_empirical", 1.0, s_emp),
+            _row(cfg, p_db, n, seed, "threshold_closed", 1.0, closed[p_db]),
+        ]
+
+    return _sweep(seed, [(p_db, K) for p_db in p_db_grid for K in k_grid], point)
 
 
 # --- Figs. 3-5: mixed delivery at nt = K = 100 ----------------------------
@@ -292,34 +289,20 @@ def fig345_config(per_user_p_db: float, m: float, num_users: int = FIG345_USERS)
 
 
 def _fig345_point(sub: RngStream, p_db: float, m: float, n: int) -> list:
+    """The three rows of one (P, m) point, on sub.derive(0), (1) and (2)."""
     cfg = fig345_config(p_db, m)
-    K, P = cfg.num_users, cfg.total_power
-    load = caching.transmissions(cfg.placement, m, K)
-    mc = multicast.avg_rate_quasistatic(cfg, sub.derive(0), n).scaled(K / load)
-    uc = multiplex.symmetric_rate_mc(cfg, sub.derive(1), n).scaled(K / (1.0 - m))
+    mc = _multicast_row("multicast", cfg, p_db, sub.derive(0), n)
+    uc = _multiplex_row("multiplex", cfg, p_db, sub.derive(1), n)
     opt = mixed.optimal_split_numeric(cfg, sub.derive(2), n)
-    common = dict(
-        K=K, nt=K, L=1, P_dB=p_db, m=m, sigma2=cfg.csit_error_var, samples=n, seed=sub.seed
-    )
     flags = []
     if opt.at_boundary:
         flags.append("boundary")
-    if opt.saturated(P):
+    if opt.saturated(cfg.total_power):
         flags.append("all_common")
-    if mc.mean >= uc.mean:
+    if mc.mean_nats >= uc.mean_nats:
         flags.append("mc_preferred")
-    return [
-        SweepRow(scheme="multicast", P0_frac=1.0, mean_nats=mc.mean, std_err=mc.std_err, **common),
-        SweepRow(scheme="multiplex", P0_frac=0.0, mean_nats=uc.mean, std_err=uc.std_err, **common),
-        SweepRow(
-            scheme="mixed_opt",
-            P0_frac=opt.common_power / P,
-            mean_nats=opt.rate,
-            std_err=0.0,
-            flags=";".join(flags),
-            **common,
-        ),
-    ]
+    frac = opt.common_power / cfg.total_power
+    return [mc, uc, _row(cfg, p_db, n, sub.seed, "mixed_opt", frac, opt.rate, flags=";".join(flags))]
 
 
 def run_fig3_4_5(
@@ -333,23 +316,57 @@ def run_fig3_4_5(
 
     The P_dB column carries *per-user* power here, matching the preset
     parameterization; the regime classification lives in the flags of the
-    mixed_opt rows.  Grid point i runs on RngStream(seed).derive(i) in a
-    pool of `workers` threads (default: the CPUs this process may use),
-    capped at the number of points; the rows do not depend on the worker
-    count.
+    mixed_opt rows.  The grid points run on a pool of `workers` threads
+    (default: the CPUs this process may use), capped at the number of
+    points; the rows do not depend on the worker count.
     """
     if workers is None:
         workers = _usable_cpus()
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
     n = samples if samples is not None else FIG345_SAMPLES
-    base = RngStream(seed)
-    points = [(p_db, m) for p_db in p_db_grid for m in m_grid]
-    chunks = _map(
-        lambda i: _fig345_point(base.derive(i), *points[i], n), range(len(points)), workers
+    return _sweep(
+        seed,
+        [(p_db, m) for p_db in p_db_grid for m in m_grid],
+        lambda base, i, p_db, m: _fig345_point(base.derive(i), p_db, m, n),
+        workers,
     )
-    rows = [row for chunk in chunks for row in chunk]
-    return SweepResult(rows=tuple(rows)).sorted()
+
+
+# --- Generic sweep: one scheme over P_dB x m ------------------------------
+
+
+def run_sweep(
+    seed: int,
+    samples: Optional[int] = None,
+    scheme: str = "multicast",
+    num_users: int = 100,
+    nt: Optional[int] = None,
+    subchannels: int = 1,
+    p_db_grid: Sequence[float] = (20.0,),
+    m_grid: Sequence[float] = (0.1,),
+    sigma2: float = 0.0,
+    placement: str = "decentralized",
+) -> SweepResult:
+    """One scheme over grids of P_dB and m; nt defaults to K."""
+    row_at = {"multicast": _multicast_row, "multiplex": _multiplex_row}.get(scheme)
+    if row_at is None:
+        raise ValueError(f"unknown sweep scheme {scheme!r}")
+    n = samples if samples is not None else default_samples(num_users)
+
+    def point(base: RngStream, i: int, p_db: float, m: float) -> list:
+        cfg = SystemConfig(
+            num_users=num_users,
+            num_tx_antennas=num_users if nt is None else nt,
+            total_power=db_to_linear(p_db),
+            num_subchannels=subchannels,
+            normalized_cache=m,
+            csit_error_var=sigma2,
+            placement=placement,
+        )
+        return [row_at(scheme, cfg, p_db, base.derive(i), n)]
+
+    return _sweep(seed, [(float(p), float(m)) for p in p_db_grid for m in m_grid], point)
 
 
 # --- Property suite -------------------------------------------------------
@@ -367,9 +384,6 @@ class PropertyCheck:
 class PropertySuiteReport:
     checks: tuple
     all_passed: bool
-
-    def rows(self) -> list:
-        return [asdict(c) for c in self.checks]
 
 
 def _check(name: str, passed: bool, margin: float, detail: str = "") -> PropertyCheck:

@@ -200,12 +200,10 @@ def optimal_split_numeric(
     same stream reproduces the optimum exactly.
     """
     validate_zf_config(cfg)
-    P, K, nt = cfg.total_power, cfg.num_users, cfg.num_tx_antennas
-    m = cfg.normalized_cache
-    if m == 1.0:
+    P, nt = cfg.total_power, cfg.num_tx_antennas
+    if cfg.normalized_cache == 1.0:
         # a full cache makes the common flow infinitely efficient
         return SplitOptimum(common_power=P, rate=math.inf, at_boundary=True)
-    load = transmissions(cfg.placement, m, K)
     norm2, g2, inter = sample_batches(
         rng, samples, scalars_per_draw(cfg), lambda gen, n: zf_stats(cfg, gen, n)
     )
@@ -217,7 +215,7 @@ def optimal_split_numeric(
         if common_power not in rates:
             split = PowerSplit.compute(cfg, common_power)
             c, pv = _flow_values(split, nt, norm2, g2, inter)
-            rates[common_power] = K * float(c.mean()) / load + K * float(pv.mean()) / (1.0 - m)
+            rates[common_power] = MixedRates.compose(cfg, float(c.mean()), float(pv.mean())).total
         return rates[common_power]
 
     best_p0, best_rate = maximize_1d(total_rate, 0.0, P, tol=_SPLIT_TOL, grid_points=33)

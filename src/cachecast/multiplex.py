@@ -6,8 +6,7 @@ estimation error.  One batched kernel, `zf_beams`, builds the beams for a
 whole stack of draws: an LU inverse when nt = K, a QR of est^H when
 nt > K.  It also returns each user's gain through its own beam, so the
 per-draw statistics need only the error seen through the beams.  The exact
-Monte-Carlo path, a distributional surrogate for the symmetric SINR, and
-the large-system closed form are all exposed.
+Monte-Carlo path and the large-system closed form are both exposed.
 """
 
 from __future__ import annotations
@@ -39,7 +38,6 @@ __all__ = [
     "private_rate_values",
     "build_zf_precoder",
     "symmetric_rate_mc",
-    "symmetric_rate_surrogate",
     "symmetric_rate_asymptotic",
 ]
 
@@ -191,29 +189,6 @@ def symmetric_rate_mc(cfg: SystemConfig, rng: RngStream, samples: int) -> RateEs
 
     values = sample_batches(rng, samples, scalars_per_draw(cfg), draw)
     return RateEstimate.from_values(values, seed=rng.seed)
-
-
-def symmetric_rate_surrogate(cfg: SystemConfig, rng: RngStream, samples: int) -> RateEstimate:
-    """Distributional shortcut for the symmetric SINR.
-
-    SINR ~ |sigma*A + sqrt((nt-K+1)(1-sigma2) B)|^2 / (1/p + (K-1) sigma2),
-    A ~ CN(0,1), B ~ Gamma(nt-K+1, 1/(nt-K+1)); the interference factor is
-    pinned to its unit mean.  Trust it only for nt/K >= 1.2, where the
-    neglected correlations are small.
-    """
-    nt, K = cfg.num_tx_antennas, cfg.num_users
-    if nt < K:
-        raise ValueError("zero forcing requires num_tx_antennas >= num_users")
-    gen = rng.generator()
-    s2 = cfg.csit_error_var
-    p = cfg.total_power / K
-    shape = nt - K + 1
-    b = gen.gamma(shape, scale=1.0 / shape, size=samples)
-    a = _complex_normal(gen, (samples,), 1.0)
-    amp = math.sqrt(s2) * a + np.sqrt(shape * (1.0 - s2) * b)
-    denom = 1.0 / p + (K - 1) * s2
-    sinr = (amp.real * amp.real + amp.imag * amp.imag) / denom
-    return RateEstimate.from_values(np.log1p(sinr), seed=rng.seed)
 
 
 def symmetric_rate_asymptotic(cfg: SystemConfig) -> AsymptoticSymmetricRate:

@@ -9,17 +9,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Tuple
+from typing import Tuple
 
 from .caching import selection_rate_samples
 from .channel import RngStream, SystemConfig
-from .mathx import DEFAULT_TOL, ToleranceSpec, lambert_w, maximize_1d, reg_upper_gamma
+from .mathx import ToleranceSpec, lambert_w, maximize_1d, reg_upper_gamma
 from .results import RateEstimate
 
 __all__ = [
     "SelectionEstimate",
     "optimal_threshold_rayleigh",
-    "optimal_threshold_general",
     "simulated_selection_rate",
     "empirical_optimal_threshold",
     "snr_above_probability",
@@ -41,44 +40,6 @@ def optimal_threshold_rayleigh(total_power: float) -> float:
     if total_power <= 0.0:
         raise ValueError("total_power must be positive")
     return total_power / lambert_w(total_power) - 1.0
-
-
-def optimal_threshold_general(
-    cdf: Callable[[float], float],
-    pdf: Callable[[float], float],
-    bracket: Tuple[float, float],
-) -> float:
-    """Optimal threshold for an arbitrary differentiable SNR distribution.
-
-    Solves ln(1 + s) = W((1 - F(s)) / F'(s)) by bisection on the residual;
-    raises if the residual does not change sign over the bracket.
-    """
-    lo, hi = bracket
-    if not lo < hi:
-        raise ValueError("bracket must satisfy lo < hi")
-
-    def residual(s: float) -> float:
-        hazard_inv = (1.0 - cdf(s)) / pdf(s)
-        return math.log1p(s) - lambert_w(max(hazard_inv, 0.0))
-
-    r_lo, r_hi = residual(lo), residual(hi)
-    if r_lo == 0.0:
-        return lo
-    if r_hi == 0.0:
-        return hi
-    if r_lo * r_hi > 0.0:
-        raise ValueError("no sign change of the optimality condition in the bracket")
-    tol = DEFAULT_TOL
-    for _ in range(tol.max_iter):
-        mid = 0.5 * (lo + hi)
-        r_mid = residual(mid)
-        if r_mid == 0.0 or hi - lo <= tol.abs_tol + tol.rel_tol * abs(mid):
-            return mid
-        if r_lo * r_mid < 0.0:
-            hi, r_hi = mid, r_mid
-        else:
-            lo, r_lo = mid, r_mid
-    return 0.5 * (lo + hi)
 
 
 def snr_above_probability(cfg: SystemConfig, threshold: float) -> float:

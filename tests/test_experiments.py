@@ -6,19 +6,23 @@ from pathlib import Path
 
 import pytest
 
-from cachecast import cli
+from cachecast import caching, cli, multicast, selection
+from cachecast.channel import RngStream, SystemConfig
 from cachecast.cli import main
 from cachecast.experiments import (
     CSV_SCHEMA,
     SweepResult,
     SweepRow,
+    _fig345_point,
+    _multicast_row,
+    _multiplex_row,
     db_to_linear,
     default_samples,
-    linear_to_db,
     run_fig1,
     run_fig2,
     run_fig3_4_5,
     run_property_suite,
+    run_sweep,
 )
 
 
@@ -33,9 +37,6 @@ def _row(**overrides):
 
 def test_db_roundtrip():
     assert db_to_linear(30.0) == pytest.approx(1000.0)
-    assert linear_to_db(db_to_linear(17.3)) == pytest.approx(17.3)
-    with pytest.raises(ValueError):
-        linear_to_db(0.0)
 
 
 def test_default_samples_scales_down():
@@ -70,6 +71,49 @@ def test_fig1_rows_and_determinism():
     assert schemes == {"mc_nt1", "mc_select", "mc_ntlog", "mc_parallel"}
     assert len(a.rows) == 8
     assert all(r.mean_nats > 0 for r in a.rows)
+
+
+def test_fig1_rows_rerun_alone_from_their_substreams():
+    # scheme j of grid point i = 1, (30 dB, K = 40), runs on derive(4i + j)
+    res = run_fig1(seed=6, samples=300, k_grid=(20, 40), p_db_grid=(30.0,), m=0.1)
+    got = {r.scheme: r.mean_nats for r in res.rows if r.K == 40}
+    K, P, m, n, sub = 40, db_to_linear(30.0), 0.1, 300, RngStream(6).derive
+    delivered = K / caching.transmissions("decentralized", m, K)
+    single = SystemConfig(num_users=K, num_tx_antennas=1, total_power=P, normalized_cache=m)
+    s_star = selection.optimal_threshold_rayleigh(P)
+    multi = SystemConfig(num_users=K, num_tx_antennas=3, total_power=P, normalized_cache=m)
+    parallel = SystemConfig(
+        num_users=K, num_tx_antennas=1, total_power=P, num_subchannels=3, normalized_cache=m
+    )
+    assert got == {
+        "mc_nt1": multicast.avg_rate_quasistatic(single, sub(4), n).scaled(delivered).mean,
+        "mc_select": caching.delivery_rate_selection(m, s_star, P, K, sub(5), n).mean,
+        "mc_ntlog": multicast.avg_rate_quasistatic(multi, sub(6), n).scaled(delivered).mean,
+        "mc_parallel": multicast.avg_rate_parallel(parallel, sub(7), n).scaled(delivered).mean,
+    }
+
+
+@pytest.mark.parametrize(
+    "scheme, row_at, nt, L", [("multicast", _multicast_row, 2, 2), ("multiplex", _multiplex_row, 8, 1)]
+)
+def test_sweep_rows_rerun_alone_from_their_substreams(scheme, row_at, nt, L):
+    # grid point i = 3 of P_dB x m, (20 dB, m = 0.3), runs on derive(3)
+    res = run_sweep(
+        seed=7, samples=60, scheme=scheme, num_users=6, nt=nt, subchannels=L,
+        p_db_grid=(10.0, 20.0), m_grid=(0.1, 0.3), sigma2=0.1, placement="centralized",
+    )
+    cfg = SystemConfig(
+        num_users=6, num_tx_antennas=nt, total_power=100.0, num_subchannels=L,
+        normalized_cache=0.3, csit_error_var=0.1, placement="centralized",
+    )
+    assert len(res.rows) == 4
+    assert row_at(scheme, cfg, 20.0, RngStream(7).derive(3), 60) in res.rows
+
+
+def test_fig3_point_reruns_alone_from_its_substream():
+    res = run_fig3_4_5(seed=5, samples=4, p_db_grid=(10.0,), m_grid=(0.1, 0.3), workers=1)
+    alone = _fig345_point(RngStream(5).derive(1), 10.0, 0.3, 4)
+    assert sorted(alone, key=lambda r: r.scheme) == [r for r in res.rows if r.m == 0.3]
 
 
 def test_fig2_closed_column_constant_in_k():
@@ -122,12 +166,36 @@ def test_cli_workers_only_on_pooled_sweeps(command):
         main([command, "--workers", "2"])
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["threshold", "--samples", "5"],
+        ["threshold", "--seed", "3"],
+        ["check", "--samples", "5"],
+        ["check", "--out", "f"],
+    ],
+)
+def test_cli_rejects_flags_the_command_does_not_read(argv):
+    with pytest.raises(SystemExit):
+        main(argv)
+
+
+def test_cli_flag_and_config_precedence(tmp_path, capsys):
+    assert main(["split", "--seed", "7", "--samples", "4"]) == 0
+    assert "P0_frac=" in capsys.readouterr().out
+    # a config seed overrides --seed; --samples overrides a config samples
+    path = tmp_path / "sweep.json"
+    path.write_text(json.dumps({"K": 4, "nt": 1, "seed": 9, "samples": 50}))
+    assert main(["sweep", "--config", str(path), "--seed", "3", "--samples", "20", "--format", "json"]) == 0
+    rows = json.loads(capsys.readouterr().out)["rows"]
+    assert [(r["seed"], r["samples"]) for r in rows] == [(9, 20)]
+
+
 def test_property_suite_passes_on_reference_seed():
     report = run_property_suite(seed=42)
     failed = [c.name for c in report.checks if not c.passed]
     assert report.all_passed, f"failed checks: {failed}"
     assert len(report.checks) >= 8
-    assert all(isinstance(r["name"], str) for r in report.rows())
 
 
 def test_cli_threshold_and_exit_codes(tmp_path, capsys):

@@ -131,6 +131,20 @@ def test_optimal_split_evaluates_each_power_once(monkeypatch):
     assert optimal_split_numeric(scenario, RngStream(58), 200) == opt
 
 
+@pytest.mark.parametrize(
+    "scenario, at_boundary",
+    [(cfg(), True), (cfg(K=8, nt=8, P=80.0, m=0.5, s2=0.0125), False)],
+)
+def test_split_optimum_rate_is_the_composed_mixed_rate(scenario, at_boundary):
+    # the optimizer composes its objective through MixedRates.compose, so its
+    # rate is the mixed MC rate at the optimum on the same stream, bit for bit
+    opt = optimal_split_numeric(scenario, RngStream(60), 200)
+    assert opt.at_boundary == at_boundary
+    split = PowerSplit.compute(scenario, opt.common_power)
+    total = mixed_rates_mc(scenario, split, RngStream(60), 200).total
+    assert type(opt.rate) is float and opt.rate == total
+
+
 def test_asymptotic_matches_mc():
     scenario = cfg(K=100, nt=200, P=10_000.0, m=0.1, s2=0.0)
     split = PowerSplit.compute(scenario, 5_000.0)

@@ -16,7 +16,6 @@ from cachecast.multiplex import (
     build_zf_precoder,
     symmetric_rate_asymptotic,
     symmetric_rate_mc,
-    symmetric_rate_surrogate,
     zf_beams,
     zf_stats,
 )
@@ -193,26 +192,6 @@ def test_single_user_rate_quadrature_oracle():
     # value from numerical integration with nt = 4, P = 10
     est = symmetric_rate_mc(cfg(1, 4, 10.0), RngStream(35), 100_000)
     assert abs(est.mean - 3.591249062537076) < 4 * est.std_err
-
-
-def test_surrogate_matches_exact():
-    scenario = cfg(100, 200, 100.0, s2=0.1)  # p = 1
-    exact = symmetric_rate_mc(scenario, RngStream(36), 400)
-    fast = symmetric_rate_surrogate(scenario, RngStream(37), 50_000)
-    joint = math.hypot(exact.std_err, fast.std_err)
-    assert abs(exact.mean - fast.mean) < max(3 * joint, 0.02 * exact.mean)
-
-
-def test_surrogate_blind_estimate_case():
-    # sigma2 = 1: SINR = |A|^2/(1/p + K - 1), i.e. Exp(1) over a constant
-    K, P = 50, 50.0
-    est = symmetric_rate_surrogate(cfg(K, 100, P, s2=1.0), RngStream(38), 200_000)
-    denom = 1.0 / (P / K) + (K - 1)
-    # E[ln(1 + X/c)] for X ~ Exp(1) is e^c E1(c) with c = denom
-    from scipy import special
-
-    ref = math.exp(denom) * float(special.exp1(denom))
-    assert abs(est.mean - ref) < 4 * est.std_err
 
 
 def test_asymptotic_cases():

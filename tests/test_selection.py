@@ -6,7 +6,6 @@ from cachecast.channel import RngStream, SystemConfig
 from cachecast.mathx import lambert_w
 from cachecast.selection import (
     empirical_optimal_threshold,
-    optimal_threshold_general,
     optimal_threshold_rayleigh,
     simulated_selection_rate,
     snr_above_probability,
@@ -24,24 +23,6 @@ def test_closed_form_is_stationary():
         assert abs(deriv) < 1e-8
     with pytest.raises(ValueError):
         optimal_threshold_rayleigh(0.0)
-
-
-def test_general_solver_recovers_rayleigh():
-    P = 1000.0
-    cdf = lambda s: 1.0 - math.exp(-s / P)
-    pdf = lambda s: math.exp(-s / P) / P
-    s_gen = optimal_threshold_general(cdf, pdf, bracket=(1.0, P))
-    assert s_gen == pytest.approx(optimal_threshold_rayleigh(P), rel=1e-8)
-
-
-def test_general_solver_rejects_bad_bracket():
-    P = 1000.0
-    cdf = lambda s: 1.0 - math.exp(-s / P)
-    pdf = lambda s: math.exp(-s / P) / P
-    with pytest.raises(ValueError):
-        optimal_threshold_general(cdf, pdf, bracket=(1.0, 2.0))
-    with pytest.raises(ValueError):
-        optimal_threshold_general(cdf, pdf, bracket=(5.0, 5.0))
 
 
 def test_snr_above_probability():
