@@ -153,7 +153,7 @@ def substacks(n: int, scalars_per_row: int) -> Iterator[slice]:
     axis 0.
     """
     step = max(1, _SUBSTACK_SCALARS // max(scalars_per_row, 1))
-    return (slice(lo, lo + step) for lo in range(0, n, step))
+    return (slice(lo, min(lo + step, n)) for lo in range(0, n, step))
 
 
 def squared_row_norms(h: np.ndarray) -> np.ndarray:

@@ -79,27 +79,29 @@ _SWEEP = {
 }
 _SPLIT = {**_RUN, "P_dB": ("p_db", "float"), "m": ("m", "float"), "K": ("num_users", "int")}
 
-# Per command: its help line, the function that runs it, and the config keys
-# it reads.  Only the keys present in a config are passed, so each default
-# lives in the function's signature; any other key is an error.
+# Per command: its help line, the name of the function in this module that
+# runs it, and the config keys it reads.  The function is looked up by name
+# when the command runs, so a rebinding of that name is seen.  Only the keys
+# present in a config are passed, so each default lives in the function's
+# signature; any other key is an error.
 _COMMANDS = {
-    "fig1": ("multicasting schemes vs number of users", run_fig1, _FIG12),
-    "fig2": ("optimal selection threshold, empirical vs closed form", run_fig2, _FIG12),
-    "fig3": ("delivery rate of multicast / multiplex / mixed vs cache size", run_fig3_4_5,
+    "fig1": ("multicasting schemes vs number of users", "run_fig1", _FIG12),
+    "fig2": ("optimal selection threshold, empirical vs closed form", "run_fig2", _FIG12),
+    "fig3": ("delivery rate of multicast / multiplex / mixed vs cache size", "run_fig3_4_5",
              _FIG345),
-    "fig4": ("optimal common power fraction vs cache size", _mixed_opt_rows, _FIG345),
-    "fig5": ("preferable and optimal regions of coded multicasting", _mixed_opt_rows, _FIG345),
-    "sweep": ("generic sweep driven entirely by a config file", run_sweep, _SWEEP),
-    "check": ("run the cross-module property suite", _check, _SEED),
-    "threshold": ("print the optimal selection threshold for a power", _threshold,
+    "fig4": ("optimal common power fraction vs cache size", "_mixed_opt_rows", _FIG345),
+    "fig5": ("preferable and optimal regions of coded multicasting", "_mixed_opt_rows", _FIG345),
+    "sweep": ("generic sweep driven entirely by a config file", "run_sweep", _SWEEP),
+    "check": ("run the cross-module property suite", "_check", _SEED),
+    "threshold": ("print the optimal selection threshold for a power", "_threshold",
                   {"P_dB": ("p_db", "float")}),
-    "split": ("print the optimal common power for a scenario", _split, _SPLIT),
+    "split": ("print the optimal common power for a scenario", "_split", _SPLIT),
 }
 
 
 # the commands that write rows (--out, --format), and those run on a thread pool
-_POOLED = ("fig3", "fig4", "fig5")
-_SWEEPS = ("fig1", "fig2", *_POOLED, "sweep")
+_POOLED = ("fig1", "fig3", "fig4", "fig5")
+_SWEEPS = ("fig2", *_POOLED, "sweep")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -176,7 +178,7 @@ def _emit(result: SweepResult, out: Optional[str], fmt: str) -> None:
 
 def _run(args: argparse.Namespace) -> int:
     kwargs = dict(vars(args))  # after the pops: --seed and --workers, where registered
-    _, run, keys = _COMMANDS[kwargs.pop("command")]
+    _, runner, keys = _COMMANDS[kwargs.pop("command")]
     config, samples = kwargs.pop("config"), kwargs.pop("samples", None)
     out, fmt = kwargs.pop("out", None), kwargs.pop("format", None)
     for key, value in _load_config(config).items():
@@ -185,7 +187,7 @@ def _run(args: argparse.Namespace) -> int:
         kwargs[keys[key][0]] = _value(key, value, keys[key][1])
     if samples is not None:
         kwargs["samples"] = samples
-    result = run(**kwargs)
+    result = globals()[runner](**kwargs)
     if fmt is None:  # a command that prints its own report and exit code
         return result
     _emit(result, out, fmt)

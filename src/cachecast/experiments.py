@@ -10,16 +10,16 @@ builds its rows through `_row`, the one place a row's K, nt, L, m and
 sigma2 are filled in.  Grids run P_dB-major, over K for fig1/fig2 and over
 m for fig3/4/5 and sweep.  Substreams of grid point i:
 
-- fig1: derive(4i + j) for j = mc_nt1, mc_select, mc_ntlog, mc_parallel;
-- fig2: derive(i);
-- fig3/4/5: derive(i).derive(j) for j = multicast, multiplex, mixed_opt;
-- sweep: derive(i).
+- fig1, fig2 and sweep: derive(i).  A fig1 point is one (P_dB, K, scheme)
+  with the scheme innermost, in the order mc_nt1, mc_select, mc_ntlog,
+  mc_parallel, so scheme j at (P_dB, K) index q runs on derive(4q + j);
+- fig3/4/5: derive(i).derive(j) for j = multicast, multiplex, mixed_opt.
 
-The fig3/4/5 points run on a thread pool (`workers`, by default the CPUs
-this process may use).  The rows are collected in grid order, so the
-result is the same at any worker count.  numpy releases the interpreter
-lock in its random fills, ufuncs and LAPACK calls, which is where the
-points spend their time.
+The fig1 and fig3/4/5 points run on a thread pool (`workers`, by default
+the CPUs this process may use).  The rows are collected in grid order, so
+the result is the same at any worker count.  numpy releases the
+interpreter lock in its random fills, ufuncs and LAPACK calls, which is
+where the points spend their time.
 """
 
 from __future__ import annotations
@@ -138,13 +138,20 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def _sweep(seed: int, points: Sequence[tuple], point_rows: Callable, workers: int = 1) -> SweepResult:
+def _sweep(
+    seed: int, points: Sequence[tuple], point_rows: Callable, workers: Optional[int] = 1
+) -> SweepResult:
     """The one grid loop: point_rows(RngStream(seed), i, *points[i]) for each i.
 
     Each point derives its own substreams from the root and index it is
-    given.  The points run on at most `workers` threads and their rows are
-    collected in grid order, so the result does not depend on the count.
+    given.  The points run on at most `workers` threads (None: the CPUs
+    this process may use) and their rows are collected in grid order, so
+    the result does not depend on the count.
     """
+    if workers is None:
+        workers = _usable_cpus()
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
     base = RngStream(seed)
 
     def rows_at(i: int) -> list:
@@ -207,33 +214,34 @@ def run_fig1(
     k_grid: Sequence[int] = FIG1_K_GRID,
     p_db_grid: Sequence[float] = FIG1_P_DB,
     m: float = FIG1_M,
+    workers: Optional[int] = None,
 ) -> SweepResult:
     """Delivery rate of the four multicasting schemes vs K at m = 5%.
 
     Schemes: single antenna; single antenna with threshold selection;
     nt = floor(ln K) antennas; single antenna over L = floor(ln K)
-    sub-channels.
+    sub-channels.  Each (P_dB, K, scheme) is one grid point, and the
+    points run on a pool of `workers` threads (default: the CPUs this
+    process may use); the rows do not depend on the worker count.
     """
+    schemes = ("mc_nt1", "mc_select", "mc_ntlog", "mc_parallel")
 
-    def point(base: RngStream, i: int, p_db: float, K: int) -> list:
+    def point(base: RngStream, i: int, p_db: float, K: int, scheme: str) -> list:
         P = db_to_linear(p_db)
         n = samples if samples is not None else default_samples(K)
         n_log = max(1, int(math.floor(math.log(K))))
-        cfg1 = SystemConfig(num_users=K, num_tx_antennas=1, total_power=P, normalized_cache=m)
-        s_star = selection.optimal_threshold_rayleigh(P)
-        sel = caching.delivery_rate_selection(m, s_star, P, K, base.derive(4 * i + 1), n)
-        cfg3 = SystemConfig(num_users=K, num_tx_antennas=n_log, total_power=P, normalized_cache=m)
-        cfg4 = SystemConfig(
-            num_users=K, num_tx_antennas=1, total_power=P, num_subchannels=n_log, normalized_cache=m
+        nt, L = {"mc_ntlog": (n_log, 1), "mc_parallel": (1, n_log)}.get(scheme, (1, 1))
+        cfg = SystemConfig(
+            num_users=K, num_tx_antennas=nt, total_power=P, num_subchannels=L, normalized_cache=m
         )
-        return [
-            _multicast_row("mc_nt1", cfg1, p_db, base.derive(4 * i), n),
-            _row(cfg1, p_db, n, seed, "mc_select", 1.0, sel.mean, sel.std_err),
-            _multicast_row("mc_ntlog", cfg3, p_db, base.derive(4 * i + 2), n),
-            _multicast_row("mc_parallel", cfg4, p_db, base.derive(4 * i + 3), n),
-        ]
+        if scheme != "mc_select":
+            return [_multicast_row(scheme, cfg, p_db, base.derive(i), n)]
+        s_star = selection.optimal_threshold_rayleigh(P)
+        sel = caching.delivery_rate_selection(m, s_star, P, K, base.derive(i), n)
+        return [_row(cfg, p_db, n, seed, scheme, 1.0, sel.mean, sel.std_err)]
 
-    return _sweep(seed, [(p_db, K) for p_db in p_db_grid for K in k_grid], point)
+    points = [(p_db, K, scheme) for p_db in p_db_grid for K in k_grid for scheme in schemes]
+    return _sweep(seed, points, point, workers)
 
 
 # --- Fig. 2: optimal selection threshold, empirical vs closed form --------
@@ -320,10 +328,6 @@ def run_fig3_4_5(
     (default: the CPUs this process may use), capped at the number of
     points; the rows do not depend on the worker count.
     """
-    if workers is None:
-        workers = _usable_cpus()
-    if workers < 1:
-        raise ValueError(f"workers must be >= 1, got {workers}")
     n = samples if samples is not None else FIG345_SAMPLES
     return _sweep(
         seed,

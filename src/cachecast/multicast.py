@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Tuple
+from typing import Iterator, Tuple
 
 import numpy as np
 
@@ -21,6 +21,7 @@ from .channel import (
     sample_batches,
     scalars_per_draw,
     squared_row_norms,
+    substacks,
 )
 from .results import RateEstimate
 
@@ -47,11 +48,30 @@ class AsymptoticRate:
     a_k: float
 
 
+def _true_channel_stacks(
+    cfg: SystemConfig, gen: np.random.Generator, n: int
+) -> Iterator[Tuple[slice, np.ndarray]]:
+    """(rows, true channel of those rows) over n draws, in stream order.
+
+    At sigma2 in {0, 1} a draw is one tensor, so drawing it sub-stack by
+    sub-stack consumes the Philox stream exactly as one draw of n does,
+    and only one sub-stack is held at a time.  At 0 < sigma2 < 1 the n
+    estimates come before the n errors in the stream, so the n draws are
+    one stack.
+    """
+    one_stack = 0.0 < cfg.csit_error_var < 1.0
+    for rows in [slice(0, n)] if one_stack else substacks(n, scalars_per_draw(cfg)):
+        true, _, _ = draw_channel_batch(cfg, gen, rows.stop - rows.start)
+        yield rows, true
+
+
 def _parallel_rate_values(cfg: SystemConfig, gen: np.random.Generator, n: int) -> np.ndarray:
-    true, _, _ = draw_channel_batch(cfg, gen, n)
-    norms = squared_row_norms(true)  # (n, L, K)
-    snr = (cfg.total_power / cfg.num_tx_antennas) * norms
-    return np.log1p(snr).mean(axis=1).min(axis=1)
+    values = np.empty(n)
+    for rows, true in _true_channel_stacks(cfg, gen, n):
+        norms = squared_row_norms(true)  # (rows, L, K)
+        snr = (cfg.total_power / cfg.num_tx_antennas) * norms
+        values[rows] = np.log1p(snr).mean(axis=1).min(axis=1)
+    return values
 
 
 def avg_rate_parallel(cfg: SystemConfig, rng: RngStream, samples: int) -> RateEstimate:
@@ -72,12 +92,13 @@ def avg_rate_quasistatic(cfg: SystemConfig, rng: RngStream, samples: int) -> Rat
 def _bound_values(
     cfg: SystemConfig, gen: np.random.Generator, n: int
 ) -> Tuple[np.ndarray, np.ndarray]:
-    true, _, _ = draw_channel_batch(cfg, gen, n)
-    # per-antenna SNR terms P * |h_{j,k,l}|^2, flattened over (l, j)
-    per_antenna = cfg.total_power * (true.real**2 + true.imag**2)  # (n, L, K, nt)
-    avg_snr = per_antenna.mean(axis=(1, 3))  # (n, K)
-    lower = np.log1p(per_antenna).mean(axis=(1, 3)).min(axis=1)
-    upper = np.log1p(avg_snr.min(axis=1))
+    lower, upper = np.empty(n), np.empty(n)
+    for rows, true in _true_channel_stacks(cfg, gen, n):
+        # per-antenna SNR terms P * |h_{j,k,l}|^2, flattened over (l, j)
+        per_antenna = cfg.total_power * (true.real**2 + true.imag**2)  # (rows, L, K, nt)
+        avg_snr = per_antenna.mean(axis=(1, 3))  # (rows, K)
+        lower[rows] = np.log1p(per_antenna).mean(axis=(1, 3)).min(axis=1)
+        upper[rows] = np.log1p(avg_snr.min(axis=1))
     return lower, upper
 
 

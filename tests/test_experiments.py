@@ -148,10 +148,23 @@ def test_fig3_worker_pool_matches_serial_rows():
         sys.setswitchinterval(interval)
 
 
+def test_fig1_worker_pool_matches_serial_rows():
+    grid = dict(seed=4, samples=300, k_grid=(20, 60), p_db_grid=(30.0,))
+    serial = run_fig1(workers=1, **grid)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)  # interleave the worker threads as finely as possible
+    try:
+        for workers in (2, None, 8):
+            assert run_fig1(workers=workers, **grid) == serial
+    finally:
+        sys.setswitchinterval(interval)
+
+
 @pytest.mark.parametrize("workers", ["0", "-3"])
 def test_cli_rejects_worker_counts_below_one(workers, capsys):
-    assert main(["fig3", "--workers", workers, "--samples", "2"]) == 1
-    assert "workers must be >= 1" in capsys.readouterr().err
+    for command in ("fig1", "fig3"):
+        assert main([command, "--workers", workers, "--samples", "2"]) == 1
+        assert "workers must be >= 1" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("argv", [["split", "--seed", "-1"], ["fig1", "--seed", str(2**64)]])
@@ -160,7 +173,7 @@ def test_cli_rejects_seeds_outside_the_key_space(argv, capsys):
     assert "seed must be in [0, 2**64)" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("command", ["fig1", "fig2", "sweep", "split"])
+@pytest.mark.parametrize("command", ["fig2", "sweep", "split"])
 def test_cli_workers_only_on_pooled_sweeps(command):
     with pytest.raises(SystemExit):
         main([command, "--workers", "2"])
@@ -189,6 +202,20 @@ def test_cli_flag_and_config_precedence(tmp_path, capsys):
     assert main(["sweep", "--config", str(path), "--seed", "3", "--samples", "20", "--format", "json"]) == 0
     rows = json.loads(capsys.readouterr().out)["rows"]
     assert [(r["seed"], r["samples"]) for r in rows] == [(9, 20)]
+
+
+def test_cli_looks_up_the_runner_when_the_command_runs(monkeypatch, capsys):
+    # a rebinding of cli.run_fig2 (as an outside-in tracer makes) is the one called
+    calls = []
+
+    def stub(**kwargs):
+        calls.append(kwargs)
+        return SweepResult(rows=(_row(),))
+
+    monkeypatch.setattr(cli, "run_fig2", stub)
+    assert main(["fig2", "--seed", "5", "--samples", "10"]) == 0
+    assert calls == [{"seed": 5, "samples": 10}]
+    assert capsys.readouterr().out.startswith(f"# {CSV_SCHEMA}")
 
 
 def test_property_suite_passes_on_reference_seed():

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,8 +12,11 @@ from cachecast.channel import (
     draw_channel_batch,
     scalars_per_draw,
     squared_row_norms,
+    substacks,
 )
 from cachecast.multicast import (
+    _bound_values,
+    _parallel_rate_values,
     asymptotic_rate,
     avg_rate_parallel,
     avg_rate_quasistatic,
@@ -91,6 +95,68 @@ def test_parallel_rate_reduces_batches_in_draw_order():
         values.append(np.log1p((30.0 / 10) * squared_row_norms(true)).mean(axis=1).min(axis=1))
     ref = RateEstimate.from_values(np.concatenate(values), seed=24)
     assert avg_rate_parallel(scenario, RngStream(24), 250) == ref
+
+
+def _one_shot_values(scenario, gen, n):
+    # the single-stack formulas: one draw of n rows, reduced at once
+    true, _, _ = draw_channel_batch(scenario, gen, n)
+    norms = (true.real * true.real + true.imag * true.imag).sum(axis=-1)
+    snr = (scenario.total_power / scenario.num_tx_antennas) * norms
+    rate = np.log1p(snr).mean(axis=1).min(axis=1)
+    per_antenna = scenario.total_power * (true.real**2 + true.imag**2)
+    lower = np.log1p(per_antenna).mean(axis=(1, 3)).min(axis=1)
+    upper = np.log1p(per_antenna.mean(axis=(1, 3)).min(axis=1))
+    return rate, lower, upper
+
+
+@pytest.mark.parametrize("s2", [0.0, 1.0, 0.1])
+@pytest.mark.parametrize(
+    # (1000, 10, 2) takes 40_000 normals per draw: every sub-stack is one row
+    "K, nt, L, samples",
+    [(500, 1, 1, 4500), (400, 1, 3, 2000), (400, 4, 1, 1300), (1000, 10, 2, 101)],
+)
+def test_substack_draws_match_one_shot_formulas(K, nt, L, samples, s2):
+    scenario = SystemConfig(
+        num_users=K, num_tx_antennas=nt, total_power=30.0, num_subchannels=L, csit_error_var=s2
+    )
+    per_draw = scalars_per_draw(scenario)
+    counts = list(batch_counts(samples, per_draw))
+    assert len(counts) >= 2 and sum(len(list(substacks(n, per_draw))) for n in counts) >= 3
+    ref_gen = RngStream(31).generator()
+    batches = [_one_shot_values(scenario, ref_gen, n) for n in counts]
+    rate, lower, upper = (np.concatenate(parts) for parts in zip(*batches))
+    expected = RateEstimate.from_values(rate, seed=31)
+    assert avg_rate_parallel(scenario, RngStream(31), samples) == expected
+    assert parallel_rate_bounds(scenario, RngStream(31), samples) == (
+        RateEstimate.from_values(lower, seed=31),
+        RateEstimate.from_values(upper, seed=31),
+    )
+    # four sub-stacks, the last of one row, leave the stream where one draw of n does
+    rows = next(substacks(samples, per_draw))
+    n = 3 * (rows.stop - rows.start) + 1
+    gens = [RngStream(32).generator() for _ in range(3)]
+    ref = _one_shot_values(scenario, gens[0], n)
+    assert np.array_equal(_parallel_rate_values(scenario, gens[1], n), ref[0])
+    assert all(np.array_equal(a, b) for a, b in zip(_bound_values(scenario, gens[2], n), ref[1:]))
+    assert gens[0].standard_normal() == gens[1].standard_normal() == gens[2].standard_normal()
+
+
+def test_avg_rate_parallel_working_set_is_a_few_substacks():
+    # at sigma2 = 0 the draws are taken one sub-stack at a time, so the peak
+    # is a few sub-stacks plus the (n,) values, not the n*K*nt*16 bytes
+    # (32 MB here) of one draw of n
+    K, nt, n = 400, 5, 1000
+    scenario = cfg(K, nt, 1000.0)
+    rows = next(substacks(n, scalars_per_draw(scenario)))
+    stack = (rows.stop - rows.start) * K * nt * 16
+    avg_rate_parallel(scenario, RngStream(47), 10)  # numpy's one-time set-up is not working set
+    tracemalloc.start()
+    try:
+        avg_rate_parallel(scenario, RngStream(47), n)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 6 * stack + 4 * n * 8
 
 
 def test_determinism():
