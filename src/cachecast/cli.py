@@ -99,9 +99,8 @@ _COMMANDS = {
 }
 
 
-# the commands that write rows (--out, --format), and those run on a thread pool
-_POOLED = ("fig1", "fig3", "fig4", "fig5")
-_SWEEPS = ("fig2", *_POOLED, "sweep")
+# the commands that write rows (--out, --format)
+_SWEEPS = ("fig1", "fig2", "fig3", "fig4", "fig5", "sweep")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -121,13 +120,6 @@ def build_parser() -> argparse.ArgumentParser:
         if name in _SWEEPS:
             cmd.add_argument("--out", type=str, default=None)
             cmd.add_argument("--format", choices=("csv", "json"), default="csv")
-        if name in _POOLED:
-            cmd.add_argument(
-                "--workers",
-                type=int,
-                default=None,
-                help="threads for the grid points (default: usable CPUs); rows do not depend on it",
-            )
     return parser
 
 
@@ -145,12 +137,14 @@ def _value(key: str, value, kind: str):
     """A config value checked against its kind, as the command receives it.
 
     Kinds: "int" (integral numbers become ints), "float", "str", and the
-    lists "ints" and "floats".  Numbers in a float list are passed as
-    written, so the rows print them as before.
+    non-empty lists "ints" and "floats".  Numbers in a float list are
+    passed as written, so the rows print them as before.
     """
     if kind in ("ints", "floats"):
         if not isinstance(value, list):
             raise ValueError(f"{key}: expected a list, got {value!r}")
+        if not value:
+            raise ValueError(f"{key}: expected a non-empty list")
         return [_value(key, v, "int" if kind == "ints" else "number") for v in value]
     if kind == "str":
         if not isinstance(value, str):
@@ -177,7 +171,7 @@ def _emit(result: SweepResult, out: Optional[str], fmt: str) -> None:
 
 
 def _run(args: argparse.Namespace) -> int:
-    kwargs = dict(vars(args))  # after the pops: --seed and --workers, where registered
+    kwargs = dict(vars(args))  # after the pops: --seed, where registered
     _, runner, keys = _COMMANDS[kwargs.pop("command")]
     config, samples = kwargs.pop("config"), kwargs.pop("samples", None)
     out, fmt = kwargs.pop("out", None), kwargs.pop("format", None)

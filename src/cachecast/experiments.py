@@ -4,22 +4,19 @@ Every sweep row records the scheme, the full parameter point, and the
 (seed, samples) pair, so any row can be regenerated bit-identically.  All
 internal math is linear; decibels appear only in the row metadata.
 
-Every sweep runs through one grid loop, `_sweep`.  It hands grid point i
-the root RngStream(seed) and i; the point derives its own substreams and
-builds its rows through `_row`, the one place a row's K, nt, L, m and
-sigma2 are filled in.  Grids run P_dB-major, over K for fig1/fig2 and over
-m for fig3/4/5 and sweep.  Substreams of grid point i:
+Every sweep runs through one grid loop, `_sweep`, which builds each row
+through `_row`, the one place a row's K, nt, L, m and sigma2 are filled in.
+Grids run P_dB-major, over K for fig1/fig2 and over m for fig3/4/5 and
+sweep; a fig1 point is one (P_dB, K, scheme) with the scheme innermost, in
+the order mc_nt1, mc_select, mc_ntlog, mc_parallel.
 
-- fig1, fig2 and sweep: derive(i).  A fig1 point is one (P_dB, K, scheme)
-  with the scheme innermost, in the order mc_nt1, mc_select, mc_ntlog,
-  mc_parallel, so scheme j at (P_dB, K) index q runs on derive(4q + j);
-- fig3/4/5: derive(i).derive(j) for j = multicast, multiplex, mixed_opt.
-
-The fig1 and fig3/4/5 points run on a thread pool (`workers`, by default
-the CPUs this process may use).  The rows are collected in grid order, so
-the result is the same at any worker count.  numpy releases the
-interpreter lock in its random fills, ufuncs and LAPACK calls, which is
-where the points spend their time.
+The grid points run on one thread pool, one thread per CPU in this
+process's affinity mask, capped at the number of points; the rows are
+collected in grid order, so they are the same at any thread count.  numpy
+releases the interpreter lock in its random fills, ufuncs and LAPACK
+calls, which is where the points spend their time.  Grid point i runs on
+the substream RngStream(seed).derive(i), and a fig3/4/5 point splits it
+into derive(j) for j = multicast, multiplex, mixed_opt.
 """
 
 from __future__ import annotations
@@ -138,31 +135,16 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def _sweep(
-    seed: int, points: Sequence[tuple], point_rows: Callable, workers: Optional[int] = 1
-) -> SweepResult:
-    """The one grid loop: point_rows(RngStream(seed), i, *points[i]) for each i.
+def _sweep(seed: int, points: Sequence[tuple], point_rows: Callable) -> SweepResult:
+    """The one grid loop: point_rows(RngStream(seed).derive(i), *points[i]) for each i.
 
-    Each point derives its own substreams from the root and index it is
-    given.  The points run on at most `workers` threads (None: the CPUs
-    this process may use) and their rows are collected in grid order, so
-    the result does not depend on the count.
+    The points run on one thread per usable CPU, capped at the number of
+    points, and their rows are collected in grid order.
     """
-    if workers is None:
-        workers = _usable_cpus()
-    if workers < 1:
-        raise ValueError(f"workers must be >= 1, got {workers}")
     base = RngStream(seed)
-
-    def rows_at(i: int) -> list:
-        return point_rows(base, i, *points[i])
-
-    workers = min(workers, len(points))
-    if workers <= 1:
-        chunks = [rows_at(i) for i in range(len(points))]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            chunks = list(pool.map(rows_at, range(len(points))))
+    threads = max(1, min(_usable_cpus(), len(points)))  # an empty grid gives no rows
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        chunks = list(pool.map(lambda i: point_rows(base.derive(i), *points[i]), range(len(points))))
     return SweepResult(rows=tuple(row for chunk in chunks for row in chunk)).sorted()
 
 
@@ -184,10 +166,7 @@ def _row(
 def _multicast_row(
     scheme: str, cfg: SystemConfig, p_db: float, rng: RngStream, samples: int
 ) -> SweepRow:
-    if cfg.num_subchannels == 1:
-        est = multicast.avg_rate_quasistatic(cfg, rng, samples)
-    else:
-        est = multicast.avg_rate_parallel(cfg, rng, samples)
+    est = multicast.avg_rate_parallel(cfg, rng, samples)
     load = caching.transmissions(cfg.placement, cfg.normalized_cache, cfg.num_users)
     rate = est.scaled(cfg.num_users / load)
     return _row(cfg, p_db, samples, rng.seed, scheme, 1.0, rate.mean, rate.std_err)
@@ -214,19 +193,16 @@ def run_fig1(
     k_grid: Sequence[int] = FIG1_K_GRID,
     p_db_grid: Sequence[float] = FIG1_P_DB,
     m: float = FIG1_M,
-    workers: Optional[int] = None,
 ) -> SweepResult:
     """Delivery rate of the four multicasting schemes vs K at m = 5%.
 
     Schemes: single antenna; single antenna with threshold selection;
     nt = floor(ln K) antennas; single antenna over L = floor(ln K)
-    sub-channels.  Each (P_dB, K, scheme) is one grid point, and the
-    points run on a pool of `workers` threads (default: the CPUs this
-    process may use); the rows do not depend on the worker count.
+    sub-channels.
     """
     schemes = ("mc_nt1", "mc_select", "mc_ntlog", "mc_parallel")
 
-    def point(base: RngStream, i: int, p_db: float, K: int, scheme: str) -> list:
+    def point(sub: RngStream, p_db: float, K: int, scheme: str) -> list:
         P = db_to_linear(p_db)
         n = samples if samples is not None else default_samples(K)
         n_log = max(1, int(math.floor(math.log(K))))
@@ -235,13 +211,13 @@ def run_fig1(
             num_users=K, num_tx_antennas=nt, total_power=P, num_subchannels=L, normalized_cache=m
         )
         if scheme != "mc_select":
-            return [_multicast_row(scheme, cfg, p_db, base.derive(i), n)]
+            return [_multicast_row(scheme, cfg, p_db, sub, n)]
         s_star = selection.optimal_threshold_rayleigh(P)
-        sel = caching.delivery_rate_selection(m, s_star, P, K, base.derive(i), n)
+        sel = caching.delivery_rate_selection(m, s_star, P, K, sub, n)
         return [_row(cfg, p_db, n, seed, scheme, 1.0, sel.mean, sel.std_err)]
 
     points = [(p_db, K, scheme) for p_db in p_db_grid for K in k_grid for scheme in schemes]
-    return _sweep(seed, points, point, workers)
+    return _sweep(seed, points, point)
 
 
 # --- Fig. 2: optimal selection threshold, empirical vs closed form --------
@@ -257,16 +233,19 @@ def run_fig2(
     p_db_grid: Sequence[float] = FIG2_P_DB,
     m: float = FIG1_M,
 ) -> SweepResult:
-    """Optimal SNR threshold vs K: simulated argmax against P/W(P) - 1."""
+    """Optimal SNR threshold vs K: simulated argmax over (1, 3 s*) against s* = P/W(P) - 1."""
     closed = {p_db: selection.optimal_threshold_rayleigh(db_to_linear(p_db)) for p_db in p_db_grid}
+    for p_db, s_star in closed.items():
+        if not 3.0 * s_star > 1.0:  # below about -4.2 dB
+            raise ValueError(f"P_dB: {p_db} is too low; the search bracket (1.0, {3.0 * s_star!r}) is empty")
 
-    def point(base: RngStream, i: int, p_db: float, K: int) -> list:
+    def point(sub: RngStream, p_db: float, K: int) -> list:
         n = samples if samples is not None else default_samples(K)
         cfg = SystemConfig(
             num_users=K, num_tx_antennas=1, total_power=db_to_linear(p_db), normalized_cache=m
         )
         s_emp = selection.empirical_optimal_threshold(
-            cfg, base.derive(i), n, bracket=(1.0, 3.0 * closed[p_db])
+            cfg, sub, n, bracket=(1.0, 3.0 * closed[p_db])
         )
         return [
             _row(cfg, p_db, n, seed, "threshold_empirical", 1.0, s_emp),
@@ -318,22 +297,18 @@ def run_fig3_4_5(
     samples: Optional[int] = None,
     p_db_grid: Sequence[float] = FIG345_P_DB,
     m_grid: Sequence[float] = FIG345_M_GRID,
-    workers: Optional[int] = None,
 ) -> SweepResult:
     """m-sweeps of the three delivery rates plus the optimal power split.
 
     The P_dB column carries *per-user* power here, matching the preset
     parameterization; the regime classification lives in the flags of the
-    mixed_opt rows.  The grid points run on a pool of `workers` threads
-    (default: the CPUs this process may use), capped at the number of
-    points; the rows do not depend on the worker count.
+    mixed_opt rows.
     """
     n = samples if samples is not None else FIG345_SAMPLES
     return _sweep(
         seed,
         [(p_db, m) for p_db in p_db_grid for m in m_grid],
-        lambda base, i, p_db, m: _fig345_point(base.derive(i), p_db, m, n),
-        workers,
+        lambda sub, p_db, m: _fig345_point(sub, p_db, m, n),
     )
 
 
@@ -358,7 +333,7 @@ def run_sweep(
         raise ValueError(f"unknown sweep scheme {scheme!r}")
     n = samples if samples is not None else default_samples(num_users)
 
-    def point(base: RngStream, i: int, p_db: float, m: float) -> list:
+    def point(sub: RngStream, p_db: float, m: float) -> list:
         cfg = SystemConfig(
             num_users=num_users,
             num_tx_antennas=num_users if nt is None else nt,
@@ -368,7 +343,7 @@ def run_sweep(
             csit_error_var=sigma2,
             placement=placement,
         )
-        return [row_at(scheme, cfg, p_db, base.derive(i), n)]
+        return [row_at(scheme, cfg, p_db, sub, n)]
 
     return _sweep(seed, [(float(p), float(m)) for p in p_db_grid for m in m_grid], point)
 

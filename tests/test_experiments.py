@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from cachecast import caching, cli, multicast, selection
+from cachecast import caching, cli, experiments, multicast, selection
 from cachecast.channel import RngStream, SystemConfig
 from cachecast.cli import main
 from cachecast.experiments import (
@@ -111,7 +111,7 @@ def test_sweep_rows_rerun_alone_from_their_substreams(scheme, row_at, nt, L):
 
 
 def test_fig3_point_reruns_alone_from_its_substream():
-    res = run_fig3_4_5(seed=5, samples=4, p_db_grid=(10.0,), m_grid=(0.1, 0.3), workers=1)
+    res = run_fig3_4_5(seed=5, samples=4, p_db_grid=(10.0,), m_grid=(0.1, 0.3))
     alone = _fig345_point(RngStream(5).derive(1), 10.0, 0.3, 4)
     assert sorted(alone, key=lambda r: r.scheme) == [r for r in res.rows if r.m == 0.3]
 
@@ -135,48 +135,37 @@ def test_fig3_point_rows_and_determinism():
         assert (r.K, r.nt, r.P_dB, r.m, r.samples) == (100, 100, 10.0, 0.1, 8)
 
 
-def test_fig3_worker_pool_matches_serial_rows():
-    grid = dict(seed=4, samples=4, p_db_grid=(10.0,), m_grid=(0.1, 0.2, 0.3))
-    serial = run_fig3_4_5(workers=1, **grid)
+@pytest.mark.parametrize(
+    "run, grid",
+    [
+        (run_fig1, dict(seed=4, samples=300, k_grid=(20, 60), p_db_grid=(30.0,))),
+        (run_fig2, dict(seed=4, samples=300, k_grid=(50, 200), p_db_grid=(30.0,))),
+        (run_fig3_4_5, dict(seed=4, samples=4, p_db_grid=(10.0,), m_grid=(0.1, 0.2, 0.3))),
+        (run_sweep, dict(
+            seed=4, samples=60, scheme="multiplex", num_users=6, nt=8,
+            p_db_grid=(10.0, 20.0), m_grid=(0.1, 0.3), sigma2=0.1,
+        )),
+    ],
+    ids=["fig1", "fig2", "fig3", "sweep"],
+)
+def test_rows_do_not_depend_on_the_thread_count(run, grid, monkeypatch):
+    monkeypatch.setattr(experiments, "_usable_cpus", lambda: 1)
+    serial = run(**grid)
     interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-5)  # interleave the worker threads as finely as possible
+    sys.setswitchinterval(1e-5)  # interleave the pool's threads as finely as possible
     try:
-        # 8 workers are more than the CPUs and are capped at the 3 grid points
-        for workers in (2, None, 8):
-            assert run_fig3_4_5(workers=workers, **grid) == serial
+        # 8 threads are more than the CPUs and are capped at the number of grid points
+        for cpus in (2, 8):
+            monkeypatch.setattr(experiments, "_usable_cpus", lambda: cpus)
+            assert run(**grid) == serial
     finally:
         sys.setswitchinterval(interval)
-
-
-def test_fig1_worker_pool_matches_serial_rows():
-    grid = dict(seed=4, samples=300, k_grid=(20, 60), p_db_grid=(30.0,))
-    serial = run_fig1(workers=1, **grid)
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-5)  # interleave the worker threads as finely as possible
-    try:
-        for workers in (2, None, 8):
-            assert run_fig1(workers=workers, **grid) == serial
-    finally:
-        sys.setswitchinterval(interval)
-
-
-@pytest.mark.parametrize("workers", ["0", "-3"])
-def test_cli_rejects_worker_counts_below_one(workers, capsys):
-    for command in ("fig1", "fig3"):
-        assert main([command, "--workers", workers, "--samples", "2"]) == 1
-        assert "workers must be >= 1" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("argv", [["split", "--seed", "-1"], ["fig1", "--seed", str(2**64)]])
 def test_cli_rejects_seeds_outside_the_key_space(argv, capsys):
     assert main(argv + ["--samples", "2"]) == 1
     assert "seed must be in [0, 2**64)" in capsys.readouterr().err
-
-
-@pytest.mark.parametrize("command", ["fig2", "sweep", "split"])
-def test_cli_workers_only_on_pooled_sweeps(command):
-    with pytest.raises(SystemExit):
-        main([command, "--workers", "2"])
 
 
 @pytest.mark.parametrize(
@@ -186,11 +175,14 @@ def test_cli_workers_only_on_pooled_sweeps(command):
         ["threshold", "--seed", "3"],
         ["check", "--samples", "5"],
         ["check", "--out", "f"],
+        *([command, "--workers", "2"] for command in ("fig2", "sweep", "split")),
+        *([f"fig{n}", "--workers", "2"] for n in (1, 3, 4, 5)),
     ],
 )
 def test_cli_rejects_flags_the_command_does_not_read(argv):
-    with pytest.raises(SystemExit):
+    with pytest.raises(SystemExit) as exc:
         main(argv)
+    assert exc.value.code == 2
 
 
 def test_cli_flag_and_config_precedence(tmp_path, capsys):
@@ -273,6 +265,9 @@ def test_cli_check_passes(capsys):
         ("sweep", '{"nt": 4.5}', "nt"),
         ("threshold", '{"P_dB": [30]}', "P_dB"),
         ("check", '{"samples": 10}', "samples"),
+        ("fig1", '{"K": []}', "K"),
+        ("fig2", '{"P_dB": []}', "P_dB"),
+        ("sweep", '{"m": []}', "m"),
     ],
 )
 def test_cli_rejects_bad_config_values(command, config, key, tmp_path, capsys):
@@ -281,6 +276,18 @@ def test_cli_rejects_bad_config_values(command, config, key, tmp_path, capsys):
     assert main([command, "--config", str(path)]) == 1
     err = capsys.readouterr().err
     assert err.startswith(f"error: {key}: ") and err.count("\n") == 1
+
+
+def test_fig2_rejects_a_power_too_low_for_its_search_before_any_draw(tmp_path, capsys, monkeypatch):
+    # at -6 dB, 3 s* = 0.68..., so the search bracket (1, 3 s*) is empty
+    searched = []
+    monkeypatch.setattr(selection, "empirical_optimal_threshold", lambda *a, **k: searched.append(a))
+    path = tmp_path / "fig2.json"
+    path.write_text(json.dumps({"K": [50], "P_dB": [30.0, -6.0]}))
+    assert main(["fig2", "--config", str(path), "--samples", "10"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: P_dB: -6.0 is too low") and "(1.0, 0.68" in err
+    assert searched == []
 
 
 def test_cli_forwards_only_the_config_keys(tmp_path, capsys):
