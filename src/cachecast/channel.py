@@ -21,6 +21,7 @@ __all__ = [
     "SystemConfig",
     "RngStream",
     "draw_channel_batch",
+    "channel_stacks",
     "min_norm_statistic",
     "exact_min_mean",
     "squared_row_norms",
@@ -156,19 +157,37 @@ def substacks(n: int, scalars_per_row: int) -> Iterator[slice]:
     return (slice(lo, min(lo + step, n)) for lo in range(0, n, step))
 
 
+def channel_stacks(
+    cfg: SystemConfig, gen: np.random.Generator, n: int
+) -> Iterator[Tuple[slice, np.ndarray, np.ndarray, np.ndarray]]:
+    """(rows, true, est, err) of n draws, one sub-stack at a time, in stream order.
+
+    At sigma2 in {0, 1} each sub-stack is `draw_channel_batch` of its rows.
+    At 0 < sigma2 < 1 the n estimates come first in the stream and are drawn
+    at once; the errors follow one sub-stack at a time.  Philox fills
+    sequentially and est + err is elementwise, so every value and the final
+    stream position equal those of `draw_channel_batch(cfg, gen, n)`.
+    """
+    s2 = cfg.csit_error_var
+    blocks = substacks(n, scalars_per_draw(cfg))
+    if s2 in (0.0, 1.0):
+        for rows in blocks:
+            yield (rows, *draw_channel_batch(cfg, gen, rows.stop - rows.start))
+        return
+    shape = (cfg.num_subchannels, cfg.num_users, cfg.num_tx_antennas)
+    est = _complex_normal(gen, (n,) + shape, 1.0 - s2)
+    for rows in blocks:
+        err = _complex_normal(gen, (rows.stop - rows.start,) + shape, s2)
+        yield rows, est[rows] + err, est[rows], err
+
+
 def squared_row_norms(h: np.ndarray) -> np.ndarray:
     """Sum of |entry|^2 along the last (antenna) axis.
 
-    Reduced over sub-stacks along axis 0, so the real^2 and imag^2
-    temporaries never reach the size of h.
+    The estimators pass one sub-stack of `channel_stacks` at a time, so the
+    real^2 and imag^2 temporaries stay a sub-stack's size.
     """
-    if h.ndim < 2:
-        return (h.real * h.real + h.imag * h.imag).sum(axis=-1)
-    out = np.empty(h.shape[:-1], dtype=h.real.dtype)
-    for rows in substacks(h.shape[0], math.prod(h.shape[1:])):
-        part = h[rows]
-        out[rows] = (part.real * part.real + part.imag * part.imag).sum(axis=-1)
-    return out
+    return (h.real * h.real + h.imag * h.imag).sum(axis=-1)
 
 
 def scalars_per_draw(cfg: SystemConfig) -> int:

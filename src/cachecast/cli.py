@@ -63,21 +63,21 @@ def _split(
 
 # Config keys, each mapped to (the argument it feeds, its kind); see _value.
 _SEED = {"seed": ("seed", "int")}
-_RUN = {**_SEED, "samples": ("samples", "int")}
-_FIG12 = {**_RUN, "K": ("k_grid", "ints"), "P_dB": ("p_db_grid", "floats"), "m": ("m", "float")}
+_RUN = {**_SEED, "samples": ("samples", "count")}
+_FIG12 = {**_RUN, "K": ("k_grid", "counts"), "P_dB": ("p_db_grid", "floats"), "m": ("m", "float")}
 _FIG345 = {**_RUN, "P_dB": ("p_db_grid", "floats"), "m": ("m_grid", "floats")}
 _SWEEP = {
     **_RUN,
     "scheme": ("scheme", "str"),
-    "K": ("num_users", "int"),
-    "nt": ("nt", "int"),
-    "L": ("subchannels", "int"),
+    "K": ("num_users", "count"),
+    "nt": ("nt", "count"),
+    "L": ("subchannels", "count"),
     "P_dB": ("p_db_grid", "floats"),
     "m": ("m_grid", "floats"),
     "sigma2": ("sigma2", "float"),
     "placement": ("placement", "str"),
 }
-_SPLIT = {**_RUN, "P_dB": ("p_db", "float"), "m": ("m", "float"), "K": ("num_users", "int")}
+_SPLIT = {**_RUN, "P_dB": ("p_db", "float"), "m": ("m", "float"), "K": ("num_users", "count")}
 
 # Per command: its help line, the name of the function in this module that
 # runs it, and the config keys it reads.  The function is looked up by name
@@ -136,16 +136,16 @@ def _load_config(path: Optional[str]) -> dict:
 def _value(key: str, value, kind: str):
     """A config value checked against its kind, as the command receives it.
 
-    Kinds: "int" (integral numbers become ints), "float", "str", and the
-    non-empty lists "ints" and "floats".  Numbers in a float list are
-    passed as written, so the rows print them as before.
+    Kinds: "int" (integral numbers become ints), "count" (an int >= 1),
+    "float", "str", and the non-empty lists "counts" and "floats".  Numbers
+    in a float list are passed as written, so the rows print them as before.
     """
-    if kind in ("ints", "floats"):
+    if kind in ("counts", "floats"):
         if not isinstance(value, list):
             raise ValueError(f"{key}: expected a list, got {value!r}")
         if not value:
             raise ValueError(f"{key}: expected a non-empty list")
-        return [_value(key, v, "int" if kind == "ints" else "number") for v in value]
+        return [_value(key, v, "count" if kind == "counts" else "number") for v in value]
     if kind == "str":
         if not isinstance(value, str):
             raise ValueError(f"{key}: expected a string, got {value!r}")
@@ -154,9 +154,11 @@ def _value(key: str, value, kind: str):
         raise ValueError(f"{key}: expected a number, got {value!r}")
     if not abs(value) <= sys.float_info.max:
         raise ValueError(f"{key}: expected a finite number, got {value!r}")
-    if kind == "int":
+    if kind in ("int", "count"):
         if value != int(value):
             raise ValueError(f"{key}: expected an integer, got {value!r}")
+        if kind == "count" and value < 1:
+            raise ValueError(f"{key}: expected an integer >= 1, got {value!r}")
         return int(value)
     return float(value) if kind == "float" else value
 

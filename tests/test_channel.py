@@ -8,6 +8,7 @@ from cachecast.channel import (
     SystemConfig,
     _complex_normal,
     batch_counts,
+    channel_stacks,
     draw_channel_batch,
     exact_min_mean,
     min_norm_statistic,
@@ -38,6 +39,27 @@ def test_split_holds_bit_exactly():
     true, est, err = draw_channel_batch(cfg, RngStream(1).generator(), 3)
     assert true.shape == (3, 1, 3, 4)
     np.testing.assert_array_equal(true, est + err)
+
+
+@pytest.mark.parametrize("s2", [0.0, 0.1, 1.0])
+@pytest.mark.parametrize("L", [1, 3])
+def test_channel_stacks_equal_the_one_shot_draw(s2, L):
+    # n = 1 is one sub-stack; 3 * step + 2 rows are four, the last of two rows
+    cfg = SystemConfig(
+        num_users=20, num_tx_antennas=30, total_power=1.0, num_subchannels=L, csit_error_var=s2
+    )
+    step = next(substacks(10**6, scalars_per_draw(cfg))).stop
+    for n in (1, 3 * step + 2):
+        gen, ref_gen = RngStream(8).generator(), RngStream(8).generator()
+        ref = draw_channel_batch(cfg, ref_gen, n)
+        seen = []
+        for rows, *parts in channel_stacks(cfg, gen, n):
+            assert rows.start == sum(r.stop - r.start for r in seen)
+            seen.append(rows)
+            for part, whole in zip(parts, ref):
+                assert part.shape == whole[rows].shape and np.all(part == whole[rows])
+        assert seen[-1].stop == n and len(seen) == (1 if n == 1 else 4)
+        assert gen.standard_normal() == ref_gen.standard_normal()
 
 
 @pytest.mark.parametrize("shape", [(1,), (7, 3), (4, 1, 5, 6)])

@@ -268,6 +268,13 @@ def test_cli_check_passes(capsys):
         ("fig1", '{"K": []}', "K"),
         ("fig2", '{"P_dB": []}', "P_dB"),
         ("sweep", '{"m": []}', "m"),
+        ("fig1", '{"K": [0]}', "K"),
+        ("fig1", '{"K": [-5]}', "K"),
+        ("fig2", '{"K": [0]}', "K"),
+        ("fig2", '{"K": [100, -5]}', "K"),
+        ("sweep", '{"nt": 0}', "nt"),
+        ("split", '{"K": -1}', "K"),
+        ("fig3", '{"samples": 0}', "samples"),
     ],
 )
 def test_cli_rejects_bad_config_values(command, config, key, tmp_path, capsys):

@@ -159,6 +159,24 @@ def test_avg_rate_parallel_working_set_is_a_few_substacks():
     assert peak < 6 * stack + 4 * n * 8
 
 
+def test_avg_rate_parallel_imperfect_csit_holds_one_estimate_tensor():
+    # at 0 < sigma2 < 1 the n estimates (one unit of n*K*nt*16 bytes) are
+    # drawn first and the errors one sub-stack at a time, so the peak stays
+    # near one unit
+    K, n = 100, 30
+    scenario = SystemConfig(
+        num_users=K, num_tx_antennas=K, total_power=1000.0, csit_error_var=0.1
+    )
+    avg_rate_parallel(scenario, RngStream(47), 1)  # numpy's one-time set-up is not working set
+    tracemalloc.start()
+    try:
+        avg_rate_parallel(scenario, RngStream(47), n)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5 * n * K * K * 16
+
+
 def test_determinism():
     scenario = cfg(5, 2, 3.0, L=2)
     assert (

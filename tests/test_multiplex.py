@@ -130,12 +130,9 @@ def test_zf_stats_over_substacks_match_single_stack_formula(K, nt, n, s2):
     assert gen.standard_normal() == ref_gen.standard_normal()
 
 
-def test_zf_stats_working_set_stays_near_its_draws():
-    # est, err and est + err are 3 units of n*K*nt*16 bytes while drawn; the
-    # true channel is dropped after its norms and the solve runs per
-    # sub-stack, so the peak stays below 3.5 units
-    K, n = 100, 30
-    scenario = cfg(K, K, 10.0 * K, s2=0.1)
+def _zf_stats_peak(s2, K=100, n=30):
+    # tracemalloc peak of one zf_stats call, in units of n*K*nt*16 bytes
+    scenario = cfg(K, K, 10.0 * K, s2=s2)
     gen = RngStream(46).generator()
     zf_stats(scenario, gen, 1)  # one-time set-up inside numpy is not working set
     tracemalloc.start()
@@ -144,7 +141,23 @@ def test_zf_stats_working_set_stays_near_its_draws():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 3.5 * n * K * K * 16
+    return peak / (n * K * K * 16)
+
+
+def test_zf_stats_working_set_stays_near_its_draws():
+    # the n estimates are one unit; the errors, the true channel and the
+    # solve are taken one sub-stack at a time
+    assert _zf_stats_peak(0.1) <= 1.5
+
+
+@pytest.mark.parametrize(
+    # sigma2 = 0: no tensor of n draws is held at all.  sigma2 = 1: the
+    # blind channel and the auxiliary matrix, 2 units, plus one sub-stack
+    "s2, units",
+    [(0.0, 0.75), (1.0, 2.75)],
+)
+def test_zf_stats_degenerate_csit_working_set(s2, units):
+    assert _zf_stats_peak(s2) <= units
 
 
 def test_zf_stats_blind_estimate():
