@@ -76,18 +76,33 @@ def selection_rate_samples(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Per-sample delivery rates and selected counts (decentralized load).
 
-    Each sample draws the binomial number of selected users n and evaluates
+    Each sample draws the binomial number of selected users n and takes
     (m/(1-m)) * n / (1 - (1-m)^n) * log_term, with the empty-selection
-    samples contributing zero.
+    samples contributing zero.  The expression is evaluated once per count
+    in [min n, max n] and gathered by count when that range is narrower
+    than the sample count (a few hundred counts against 10^4 samples at
+    fig2's defaults), else once per sample; each value is the same float
+    either way.
     """
     if not 0.0 < m < 1.0:
         raise ValueError("selection requires 0 < m < 1")
+    if samples < 1:
+        raise ValueError("need at least one sample")
     counts = gen.binomial(num_users, above_prob, size=samples)
-    values = np.zeros(samples, dtype=np.float64)
+    lo = int(counts.min())
+    width = int(counts.max()) - lo + 1
+    if width < samples:
+        return _selection_rates(m, np.arange(lo, lo + width), log_term)[counts - lo], counts
+    return _selection_rates(m, counts, log_term), counts
+
+
+def _selection_rates(m: float, counts: np.ndarray, log_term: float) -> np.ndarray:
+    """(m/(1-m)) * n / (1 - (1-m)^n) * log_term per count n, and 0.0 at n = 0."""
+    rates = np.zeros(counts.size, dtype=np.float64)
     active = counts > 0
     n = counts[active].astype(np.float64)
-    values[active] = (m / (1.0 - m)) * n / (1.0 - (1.0 - m) ** n) * log_term
-    return values, counts
+    rates[active] = (m / (1.0 - m)) * n / (1.0 - (1.0 - m) ** n) * log_term
+    return rates
 
 
 def delivery_rate_selection(

@@ -182,7 +182,7 @@ def _run(args: argparse.Namespace) -> int:
             raise ValueError(f"{key}: not a {args.command} config key; known: {', '.join(keys)}")
         kwargs[keys[key][0]] = _value(key, value, keys[key][1])
     if samples is not None:
-        kwargs["samples"] = samples
+        kwargs["samples"] = _value("samples", samples, "count")
     result = globals()[runner](**kwargs)
     if fmt is None:  # a command that prints its own report and exit code
         return result

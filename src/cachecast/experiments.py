@@ -33,6 +33,7 @@ import numpy as np
 
 from . import caching, channel, mathx, mixed, multicast, multiplex, selection
 from .channel import RngStream, SystemConfig
+from .results import RateEstimate
 
 __all__ = [
     "SweepRow",
@@ -163,21 +164,36 @@ def _row(
     )
 
 
+def _delivery_row(
+    scheme: str, cfg: SystemConfig, p_db: float, rng: RngStream, samples: int,
+    p0_frac: float, link: RateEstimate, load: float,
+) -> SweepRow:
+    """The row of a link rate scaled by K / load; a full cache (load 0) gives inf, std_err 0.0."""
+    if load == 0.0:
+        return _row(cfg, p_db, samples, rng.seed, scheme, p0_frac, math.inf)
+    rate = link.scaled(cfg.num_users / load)
+    return _row(cfg, p_db, samples, rng.seed, scheme, p0_frac, rate.mean, rate.std_err)
+
+
 def _multicast_row(
     scheme: str, cfg: SystemConfig, p_db: float, rng: RngStream, samples: int
 ) -> SweepRow:
     est = multicast.avg_rate_parallel(cfg, rng, samples)
     load = caching.transmissions(cfg.placement, cfg.normalized_cache, cfg.num_users)
-    rate = est.scaled(cfg.num_users / load)
-    return _row(cfg, p_db, samples, rng.seed, scheme, 1.0, rate.mean, rate.std_err)
+    return _delivery_row(scheme, cfg, p_db, rng, samples, 1.0, est, load)
 
 
 def _multiplex_row(
     scheme: str, cfg: SystemConfig, p_db: float, rng: RngStream, samples: int
 ) -> SweepRow:
     est = multiplex.symmetric_rate_mc(cfg, rng, samples)
-    rate = est.scaled(cfg.num_users / (1.0 - cfg.normalized_cache))
-    return _row(cfg, p_db, samples, rng.seed, scheme, 0.0, rate.mean, rate.std_err)
+    return _delivery_row(scheme, cfg, p_db, rng, samples, 0.0, est, 1.0 - cfg.normalized_cache)
+
+
+def _check_selection_cache(m: float) -> None:
+    """The m of a threshold-selection sweep, checked before any point runs."""
+    if not 0.0 < m < 1.0:
+        raise ValueError(f"m: selection requires 0 < m < 1, got {m!r}")
 
 
 # --- Fig. 1: multicasting schemes vs K ------------------------------------
@@ -200,6 +216,7 @@ def run_fig1(
     nt = floor(ln K) antennas; single antenna over L = floor(ln K)
     sub-channels.
     """
+    _check_selection_cache(m)
     schemes = ("mc_nt1", "mc_select", "mc_ntlog", "mc_parallel")
 
     def point(sub: RngStream, p_db: float, K: int, scheme: str) -> list:
@@ -234,6 +251,7 @@ def run_fig2(
     m: float = FIG1_M,
 ) -> SweepResult:
     """Optimal SNR threshold vs K: simulated argmax over (1, 3 s*) against s* = P/W(P) - 1."""
+    _check_selection_cache(m)
     closed = {p_db: selection.optimal_threshold_rayleigh(db_to_linear(p_db)) for p_db in p_db_grid}
     for p_db, s_star in closed.items():
         if not 3.0 * s_star > 1.0:  # below about -4.2 dB

@@ -50,6 +50,13 @@ def snr_above_probability(cfg: SystemConfig, threshold: float) -> float:
     return reg_upper_gamma(nt, nt * threshold / cfg.total_power)
 
 
+def _check_selection(cfg: SystemConfig, threshold: float) -> None:
+    if cfg.num_subchannels != 1:
+        raise ValueError("selection runs on the quasi-static channel (L = 1)")
+    if threshold < 0.0:
+        raise ValueError("threshold must be nonnegative")
+
+
 def simulated_selection_rate(
     cfg: SystemConfig,
     threshold: float,
@@ -61,10 +68,7 @@ def simulated_selection_rate(
     Works for any antenna count through the Gamma SNR tail; placement is
     decentralized by construction of the selection scheme.
     """
-    if cfg.num_subchannels != 1:
-        raise ValueError("selection runs on the quasi-static channel (L = 1)")
-    if threshold < 0.0:
-        raise ValueError("threshold must be nonnegative")
+    _check_selection(cfg, threshold)
     above = snr_above_probability(cfg, threshold)
     values, counts = selection_rate_samples(
         cfg.normalized_cache,
@@ -90,11 +94,23 @@ def empirical_optimal_threshold(
 
     Every candidate threshold is evaluated on the same restarted stream
     (common random numbers), which keeps the argmax well conditioned at
-    finite sample counts and makes repeated calls identical.
+    finite sample counts and makes repeated calls identical.  The objective
+    is the sample mean alone, the same float as
+    `simulated_selection_rate(...).rate.mean`, and that function's checks
+    are made once, on the bracket (every candidate lies in it).
     """
+    _check_selection(cfg, bracket[0])
 
     def rate_at(s: float) -> float:
-        return simulated_selection_rate(cfg, s, rng, samples).rate.mean
+        values, _ = selection_rate_samples(
+            cfg.normalized_cache,
+            cfg.num_users,
+            snr_above_probability(cfg, s),
+            math.log1p(s),
+            rng.generator(),
+            samples,
+        )
+        return float(values.mean())
 
     best_s, _ = maximize_1d(rate_at, bracket[0], bracket[1], tol=_SEARCH_TOL, grid_points=41)
     return best_s

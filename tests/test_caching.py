@@ -1,11 +1,14 @@
 import math
+import warnings
 
+import numpy as np
 import pytest
 
 from cachecast.caching import (
     delivery_rate_multicast,
     delivery_rate_selection,
     delivery_rate_unicast,
+    selection_rate_samples,
     transmissions,
 )
 from cachecast.channel import RngStream
@@ -83,3 +86,53 @@ def test_selection_rate_concentrates_for_large_k():
     n_mean = K * math.exp(-s / P)
     plug = (m / (1 - m)) * n_mean / (1.0 - (1.0 - m) ** n_mean) * math.log1p(s)
     assert est.mean == pytest.approx(plug, rel=0.01)
+
+
+def _per_sample_selection_rates(m, num_users, above_prob, log_term, gen, samples):
+    # the reference: the rate expression evaluated once per sample
+    counts = gen.binomial(num_users, above_prob, size=samples)
+    values = np.zeros(samples, dtype=np.float64)
+    active = counts > 0
+    n = counts[active].astype(np.float64)
+    values[active] = (m / (1.0 - m)) * n / (1.0 - (1.0 - m) ** n) * log_term
+    return values, counts
+
+
+@pytest.mark.parametrize(
+    "num_users, above_prob, samples, m, per_count",
+    [
+        (1, 0.5, 100, 0.1, True),
+        (50, 0.0, 100, 0.1, True),  # every count 0
+        (50, 1.0, 100, 0.1, True),  # every count K
+        (50, 0.3, 1, 0.1, False),
+        (10**9, 0.5, 10, 0.1, False),
+        (10**9, 0.5, 1000, 0.1, False),
+        (10**9, 1e-6, 1000, 0.1, True),
+        (1000, 0.05, 1000, 1e-6, True),
+        (1000, 0.05, 1000, 0.999, True),
+        (10**6, 0.5, 300, 0.999, False),
+    ],
+)
+def test_selection_rate_samples_equal_the_per_sample_expression(
+    num_users, above_prob, samples, m, per_count
+):
+    log_term = math.log1p(123.4)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        values, counts = selection_rate_samples(
+            m, num_users, above_prob, log_term, RngStream(11).generator(), samples
+        )
+        ref_values, ref_counts = _per_sample_selection_rates(
+            m, num_users, above_prob, log_term, RngStream(11).generator(), samples
+        )
+    # per_count: the counts span fewer values than there are samples
+    assert (int(ref_counts.max() - ref_counts.min()) + 1 < samples) == per_count
+    assert values.dtype == np.float64 and values.shape == (samples,)
+    assert values.tobytes() == ref_values.tobytes()
+    assert counts.tobytes() == ref_counts.tobytes()
+
+
+def test_selection_rate_samples_needs_a_sample():
+    for samples in (0, -3):
+        with pytest.raises(ValueError, match="need at least one sample"):
+            selection_rate_samples(0.1, 10, 0.5, 1.0, RngStream(0).generator(), samples)

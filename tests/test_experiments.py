@@ -285,6 +285,45 @@ def test_cli_rejects_bad_config_values(command, config, key, tmp_path, capsys):
     assert err.startswith(f"error: {key}: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("command", ["fig1", "fig2", "fig3", "fig4", "fig5", "sweep", "split"])
+@pytest.mark.parametrize("samples", ["0", "-3"])
+def test_cli_checks_the_samples_flag_as_a_config_value(command, samples, capsys):
+    assert main([command, "--samples", samples]) == 1
+    assert capsys.readouterr().err == f"error: samples: expected an integer >= 1, got {samples}\n"
+
+
+@pytest.mark.parametrize("command", ["fig1", "fig2"])
+@pytest.mark.parametrize("m", [0.0, 1.0])
+def test_selection_sweeps_check_m_before_any_point(command, m, tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(experiments, "_sweep", lambda *a: pytest.fail("a point ran"))
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"m": m}))
+    assert main([command, "--config", str(path), "--samples", "10"]) == 1
+    assert capsys.readouterr().err == f"error: m: selection requires 0 < m < 1, got {m}\n"
+
+
+@pytest.mark.parametrize(
+    "command, config",
+    [
+        ("fig3", {"P_dB": [10.0], "m": [1.0]}),
+        ("fig4", {"P_dB": [10.0], "m": [1.0]}),
+        ("fig5", {"P_dB": [10.0], "m": [1.0]}),
+        ("sweep", {"scheme": "multicast", "K": 4, "nt": 4, "m": [1.0]}),
+        ("sweep", {"scheme": "multiplex", "K": 4, "nt": 4, "m": [1.0]}),
+        ("sweep", {"scheme": "multicast", "K": 4, "m": [1.0], "placement": "centralized"}),
+    ],
+)
+def test_a_full_cache_prints_an_infinite_rate(command, config, tmp_path, capsys):
+    # m = 1 needs no transmission: inf with no error bar, as the caching module defines it
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    assert main([command, "--config", str(path), "--samples", "2", "--format", "json"]) == 0
+    rows = json.loads(capsys.readouterr().out)["rows"]
+    assert rows and all((r["mean_nats"], r["std_err"]) == ("inf", 0.0) for r in rows)
+    if command == "fig3":
+        assert [r["scheme"] for r in rows] == ["mixed_opt", "multicast", "multiplex"]
+
+
 def test_fig2_rejects_a_power_too_low_for_its_search_before_any_draw(tmp_path, capsys, monkeypatch):
     # at -6 dB, 3 s* = 0.68..., so the search bracket (1, 3 s*) is empty
     searched = []

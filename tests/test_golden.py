@@ -33,6 +33,7 @@ SEEDS = (42, 20170320)
 DIGESTS = {
     "fig1-42": "5fb25f5ed027afad6d4ad23c0131f7b1a166b5b48d7d32395e4482f093a864c3",
     "fig2-42": "fef2a88eb61ee42c51242e13f78c16ac09e22e7031e8a71ff7880c0dc24a049f",
+    "fig2-edges-42": "8d2cd55bddcc09a0fded53aaa600e57747164b26c83adac80660e5150ea9882b",
     "fig3-42": "badf1ef2ba2a942d8cc90cbe17d3b8738ca90ec4d5cde8e5de7bf5484fd8b9e2",
     "fig4-42": "577910d57bc00f2650df9acb2b8b08afee1421b6ee0d69899db13d1a8305b4ce",
     "fig5-42": "be1bb156ab4efc198e9121d5ed729a667146887b2a240c485db2950358347150",
@@ -49,6 +50,7 @@ DIGESTS = {
     "bench-fig2-threshold-42": "d48d754ccc553bfb121603cc8748be9ef78463d19d590feea666fcbcc93d6a9f",
     "fig1-20170320": "573d8101781c27b972595e77368fcc5d66b2cd23ad614f0be59e82e2b8f09c6d",
     "fig2-20170320": "f096fa76ae117e9853bec7d7f7fe027d913dd6b3feeb279a1dfe1b09f4f5e872",
+    "fig2-edges-20170320": "f2180e242e1280e025f3682c68e2af76afd14e45d518db452eaff583dac32c73",
     "fig3-20170320": "ee7bafdbf3bf2db4d9d79b72659c2e57f12cd7240806a56e21e4cf2ad1d923d1",
     "fig4-20170320": "ed9852769cd70191b32fd8830e8a5a0fac543bf2cb22fba6f547c858fab57197",
     "fig5-20170320": "5d12c67afedac40e72b5de2d9ab3424efd54f6ca03c470441fc649ff75e9c235",
@@ -76,6 +78,10 @@ def _cases(workloads) -> dict:
         cases[f"fig1-{seed}"] = (["fig1", *at, "--samples", "200"], {"K": [20, 60], "P_dB": [30.0]})
         cases[f"fig2-{seed}"] = (
             ["fig2", *at, "--samples", "300"], {"K": [50, 200], "P_dB": [30.0, 40.0], "m": 0.1}
+        )
+        # the selection edges: one user, and a million users (wide binomial counts)
+        cases[f"fig2-edges-{seed}"] = (
+            ["fig2", *at, "--samples", "300"], {"K": [1, 1000000], "P_dB": [30.0, 50.0], "m": 0.1}
         )
         cases[f"fig3-{seed}"] = (["fig3", *at, "--samples", "4"], {"P_dB": [10.0], "m": [0.1, 0.3]})
         cases[f"fig4-{seed}"] = (["fig4", *at, "--samples", "4"], {"P_dB": [10.0, 20.0], "m": [0.05]})

@@ -2,8 +2,9 @@ import math
 
 import pytest
 
+from cachecast import selection
 from cachecast.channel import RngStream, SystemConfig
-from cachecast.mathx import lambert_w
+from cachecast.mathx import lambert_w, maximize_1d
 from cachecast.selection import (
     empirical_optimal_threshold,
     optimal_threshold_rayleigh,
@@ -68,6 +69,34 @@ def test_empirical_threshold_near_closed_form():
         scenario, RngStream(5), 50_000, bracket=(0.3 * s_star, 3.0 * s_star)
     )
     assert s_emp == rerun
+
+
+@pytest.mark.parametrize("num_users, samples", [(200, 300), (1, 50), (10**6, 40)])
+def test_empirical_threshold_is_the_argmax_of_the_simulated_rate(num_users, samples):
+    # the mean-only objective picks the same threshold as the full estimate's mean
+    P = 100.0
+    scenario = SystemConfig(
+        num_users=num_users, num_tx_antennas=1, total_power=P, normalized_cache=0.1
+    )
+    bracket = (1.0, 3.0 * optimal_threshold_rayleigh(P))
+    expected, _ = maximize_1d(
+        lambda s: simulated_selection_rate(scenario, s, RngStream(7), samples).rate.mean,
+        *bracket,
+        tol=selection._SEARCH_TOL,
+        grid_points=41,
+    )
+    assert empirical_optimal_threshold(scenario, RngStream(7), samples, bracket) == expected
+
+
+def test_empirical_threshold_validation():
+    multi = SystemConfig(
+        num_users=4, num_tx_antennas=1, total_power=10.0, num_subchannels=2, normalized_cache=0.1
+    )
+    with pytest.raises(ValueError, match="L = 1"):
+        empirical_optimal_threshold(multi, RngStream(0), 10, bracket=(1.0, 5.0))
+    single = SystemConfig(num_users=4, num_tx_antennas=1, total_power=10.0, normalized_cache=0.1)
+    with pytest.raises(ValueError, match="nonnegative"):
+        empirical_optimal_threshold(single, RngStream(0), 10, bracket=(-1.0, 5.0))
 
 
 def test_selected_fraction_limit():
