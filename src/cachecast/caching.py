@@ -127,4 +127,4 @@ def delivery_rate_selection(
     values, _ = selection_rate_samples(
         m, num_users, above, math.log1p(threshold), rng.generator(), samples
     )
-    return RateEstimate.from_values(values, seed=rng.seed)
+    return RateEstimate.from_values(values)

@@ -251,7 +251,7 @@ def min_norm_statistic(
         return draws.sum(axis=0).min(axis=1) / nt
 
     mins = sample_batches(rng, samples, num_users * nt, draw)
-    return RateEstimate.from_values(mins, seed=rng.seed)
+    return RateEstimate.from_values(mins)
 
 
 def exact_min_mean(nt: int, num_users: int) -> float:

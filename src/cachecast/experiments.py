@@ -26,7 +26,7 @@ import json
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from typing import Callable, Optional, Sequence, TextIO
 
 import numpy as np
@@ -52,25 +52,13 @@ __all__ = [
 
 CSV_SCHEMA = "cachecast-sweep-v1"
 
-COLUMNS = (
-    "scheme",
-    "K",
-    "nt",
-    "L",
-    "P_dB",
-    "m",
-    "sigma2",
-    "P0_frac",
-    "mean_nats",
-    "std_err",
-    "samples",
-    "seed",
-    "flags",
-)
-
 
 def db_to_linear(x_db: float) -> float:
-    return 10.0 ** (x_db / 10.0)
+    """10^(x_db / 10); a P_dB whose power overflows a float is a config error."""
+    try:
+        return 10.0 ** (x_db / 10.0)
+    except OverflowError:
+        raise ValueError(f"P_dB: {x_db!r} dB is beyond the float range") from None
 
 
 def default_samples(num_users: int) -> int:
@@ -93,6 +81,10 @@ class SweepRow:
     samples: int
     seed: int
     flags: str = ""
+
+
+# the CSV header and the JSON keys, in declaration order
+COLUMNS = tuple(f.name for f in fields(SweepRow))
 
 
 def _cell(value) -> str:
@@ -190,6 +182,13 @@ def _multiplex_row(
     return _delivery_row(scheme, cfg, p_db, rng, samples, 0.0, est, 1.0 - cfg.normalized_cache)
 
 
+def _check_fraction(key: str, values: Sequence[float]) -> None:
+    """A cache fraction m or an error variance sigma2, checked before any point runs."""
+    for v in values:
+        if not 0.0 <= v <= 1.0:
+            raise ValueError(f"{key}: expected a value in [0, 1], got {v!r}")
+
+
 def _check_selection_cache(m: float) -> None:
     """The m of a threshold-selection sweep, checked before any point runs."""
     if not 0.0 < m < 1.0:
@@ -218,9 +217,10 @@ def run_fig1(
     """
     _check_selection_cache(m)
     schemes = ("mc_nt1", "mc_select", "mc_ntlog", "mc_parallel")
+    power = {p_db: db_to_linear(p_db) for p_db in p_db_grid}
 
     def point(sub: RngStream, p_db: float, K: int, scheme: str) -> list:
-        P = db_to_linear(p_db)
+        P = power[p_db]
         n = samples if samples is not None else default_samples(K)
         n_log = max(1, int(math.floor(math.log(K))))
         nt, L = {"mc_ntlog": (n_log, 1), "mc_parallel": (1, n_log)}.get(scheme, (1, 1))
@@ -284,6 +284,9 @@ FIG345_SAMPLES = 200
 def fig345_config(per_user_p_db: float, m: float, num_users: int = FIG345_USERS) -> SystemConfig:
     """Numerics preset: nt = K, fixed per-user power, sigma2 = (P/K)^-1."""
     per_user = db_to_linear(per_user_p_db)
+    if not per_user >= 1.0:
+        raise ValueError(f"P_dB: sigma2 = 1/p needs a per-user power >= 0 dB, got {per_user_p_db!r}")
+    _check_fraction("m", (m,))
     return SystemConfig(
         num_users=num_users,
         num_tx_antennas=num_users,
@@ -293,9 +296,8 @@ def fig345_config(per_user_p_db: float, m: float, num_users: int = FIG345_USERS)
     )
 
 
-def _fig345_point(sub: RngStream, p_db: float, m: float, n: int) -> list:
+def _fig345_point(sub: RngStream, p_db: float, cfg: SystemConfig, n: int) -> list:
     """The three rows of one (P, m) point, on sub.derive(0), (1) and (2)."""
-    cfg = fig345_config(p_db, m)
     mc = _multicast_row("multicast", cfg, p_db, sub.derive(0), n)
     uc = _multiplex_row("multiplex", cfg, p_db, sub.derive(1), n)
     opt = mixed.optimal_split_numeric(cfg, sub.derive(2), n)
@@ -323,11 +325,8 @@ def run_fig3_4_5(
     mixed_opt rows.
     """
     n = samples if samples is not None else FIG345_SAMPLES
-    return _sweep(
-        seed,
-        [(p_db, m) for p_db in p_db_grid for m in m_grid],
-        lambda sub, p_db, m: _fig345_point(sub, p_db, m, n),
-    )
+    points = [(p_db, fig345_config(p_db, m)) for p_db in p_db_grid for m in m_grid]
+    return _sweep(seed, points, lambda sub, p_db, cfg: _fig345_point(sub, p_db, cfg, n))
 
 
 # --- Generic sweep: one scheme over P_dB x m ------------------------------
@@ -348,14 +347,20 @@ def run_sweep(
     """One scheme over grids of P_dB and m; nt defaults to K."""
     row_at = {"multicast": _multicast_row, "multiplex": _multiplex_row}.get(scheme)
     if row_at is None:
-        raise ValueError(f"unknown sweep scheme {scheme!r}")
+        raise ValueError(f"scheme: expected multicast or multiplex, got {scheme!r}")
+    if placement not in channel.PLACEMENTS:
+        raise ValueError(f"placement: expected one of {channel.PLACEMENTS}, got {placement!r}")
+    _check_fraction("sigma2", (sigma2,))
+    _check_fraction("m", m_grid)
+    points = [(float(p), float(m)) for p in p_db_grid for m in m_grid]
+    power = {p_db: db_to_linear(p_db) for p_db, _ in points}
     n = samples if samples is not None else default_samples(num_users)
 
     def point(sub: RngStream, p_db: float, m: float) -> list:
         cfg = SystemConfig(
             num_users=num_users,
             num_tx_antennas=num_users if nt is None else nt,
-            total_power=db_to_linear(p_db),
+            total_power=power[p_db],
             num_subchannels=subchannels,
             normalized_cache=m,
             csit_error_var=sigma2,
@@ -363,7 +368,7 @@ def run_sweep(
         )
         return [row_at(scheme, cfg, p_db, sub, n)]
 
-    return _sweep(seed, [(float(p), float(m)) for p in p_db_grid for m in m_grid], point)
+    return _sweep(seed, points, point)
 
 
 # --- Property suite -------------------------------------------------------
@@ -374,7 +379,6 @@ class PropertyCheck:
     name: str
     passed: bool
     margin: float  # slack of the inequality / mismatch of the identity
-    detail: str = ""
 
 
 @dataclass(frozen=True)
@@ -383,8 +387,8 @@ class PropertySuiteReport:
     all_passed: bool
 
 
-def _check(name: str, passed: bool, margin: float, detail: str = "") -> PropertyCheck:
-    return PropertyCheck(name=name, passed=bool(passed), margin=float(margin), detail=detail)
+def _check(name: str, passed: bool, margin: float) -> PropertyCheck:
+    return PropertyCheck(name=name, passed=bool(passed), margin=float(margin))
 
 
 def run_property_suite(seed: int = 42) -> PropertySuiteReport:

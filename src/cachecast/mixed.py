@@ -18,7 +18,6 @@ from .caching import delivery_rate_multicast, delivery_rate_unicast, transmissio
 from .channel import RngStream, SystemConfig, sample_batches, scalars_per_draw
 from .mathx import DEFAULT_TOL, ToleranceSpec, maximize_1d
 from .multiplex import private_rate_values, validate_zf_config, zf_stats
-from .results import RateEstimate
 
 __all__ = [
     "PowerSplit",
@@ -141,9 +140,7 @@ def mixed_rates_mc(
         scalars_per_draw(cfg),
         lambda gen, n: _flow_values(split, cfg.num_tx_antennas, *zf_stats(cfg, gen, n)),
     )
-    common_est = RateEstimate.from_values(common, seed=rng.seed)
-    private_est = RateEstimate.from_values(private, seed=rng.seed)
-    return MixedRates.compose(cfg, common_est.mean, private_est.mean)
+    return MixedRates.compose(cfg, float(common.mean()), float(private.mean()))
 
 
 def _asymptotic_private(cfg: SystemConfig, split: PowerSplit) -> float:
@@ -154,20 +151,22 @@ def _asymptotic_private(cfg: SystemConfig, split: PowerSplit) -> float:
     return math.log1p(gain / (1.0 / split.private_per_user + (K - 1) * s2))
 
 
+# the stream of mixed_rates_asymptotic's worst-user leakage sampler
+_LEAKAGE_STREAM = RngStream(0)
+
+
 def mixed_rates_asymptotic(
-    cfg: SystemConfig,
-    split: PowerSplit,
-    rng: RngStream = RngStream(0),
-    simplified: bool = False,
+    cfg: SystemConfig, split: PowerSplit, simplified: bool = False
 ) -> MixedRates:
     """Large-system flow rates for a given split.
 
     The private flow has a closed form.  The common flow keeps an
     expectation over the worst-user interference sum; it is estimated with
     a small dedicated sampler (10^4 draws of the worst of K per-user
-    leakages ~ Gamma(K-1, sigma2)) unless `simplified` drops the
-    maximization, which together with the private term reproduces the
-    tractable two-term objective used by the closed-form split.
+    leakages ~ Gamma(K-1, sigma2) on _LEAKAGE_STREAM) unless `simplified`
+    drops the maximization, which together with the private term
+    reproduces the tractable two-term objective used by the closed-form
+    split.
     """
     if cfg.num_tx_antennas < cfg.num_users:
         raise ValueError("zero forcing requires num_tx_antennas >= num_users")
@@ -182,7 +181,7 @@ def mixed_rates_asymptotic(
             split.common_power / (1.0 + (split.total_power - split.common_power) * split.interference_common)
         )
     else:
-        gen = rng.generator()
+        gen = _LEAKAGE_STREAM.generator()
         leak = gen.gamma(K - 1, scale=s2, size=(10_000, K)).max(axis=1)
         common = float(np.log1p(split.common_power / (1.0 + p * (gain + leak))).mean())
     return MixedRates.compose(cfg, common, _asymptotic_private(cfg, split), flags=flags)

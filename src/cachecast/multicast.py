@@ -64,7 +64,7 @@ def avg_rate_parallel(cfg: SystemConfig, rng: RngStream, samples: int) -> RateEs
     values = sample_batches(
         rng, samples, scalars_per_draw(cfg), lambda gen, n: _parallel_rate_values(cfg, gen, n)
     )
-    return RateEstimate.from_values(values, seed=rng.seed)
+    return RateEstimate.from_values(values)
 
 
 def avg_rate_quasistatic(cfg: SystemConfig, rng: RngStream, samples: int) -> RateEstimate:
@@ -98,10 +98,7 @@ def parallel_rate_bounds(
     lows, ups = sample_batches(
         rng, samples, scalars_per_draw(cfg), lambda gen, n: _bound_values(cfg, gen, n)
     )
-    return (
-        RateEstimate.from_values(lows, seed=rng.seed),
-        RateEstimate.from_values(ups, seed=rng.seed),
-    )
+    return RateEstimate.from_values(lows), RateEstimate.from_values(ups)
 
 
 def asymptotic_rate(cfg: SystemConfig) -> AsymptoticRate:

@@ -50,10 +50,9 @@ _RANK_RTOL = 1e-10
 
 @dataclass(frozen=True)
 class ZfPrecoder:
-    """Unit-norm beamforming columns (nt, K) and their normalizers."""
+    """Unit-norm beamforming columns (nt, K)."""
 
     columns: np.ndarray
-    normalizers: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -106,15 +105,12 @@ def zf_beams(est: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
 def build_zf_precoder(est_h: np.ndarray) -> ZfPrecoder:
     """Beamformers w_k from one estimated channel matrix (K rows of length nt).
 
-    `zf_beams` on a single matrix: est_h @ columns is diagonal, and
-    normalizers[k] = 1 / gain_k scales the projection of conj(est_h[k])
-    off the other rows (whose norm is gain_k) to the unit-norm beam.
+    `zf_beams` on a single matrix: est_h @ columns is diagonal.
     """
     est_h = np.asarray(est_h, dtype=np.complex128)
     if est_h.ndim != 2:
         raise ValueError("estimated channel must be a (K, nt) matrix")
-    w, gain = zf_beams(est_h)
-    return ZfPrecoder(columns=w, normalizers=1.0 / gain)
+    return ZfPrecoder(columns=zf_beams(est_h)[0])
 
 
 def validate_zf_config(cfg: SystemConfig) -> None:
@@ -191,7 +187,7 @@ def symmetric_rate_mc(cfg: SystemConfig, rng: RngStream, samples: int) -> RateEs
         return private_rate_values(g2, inter, p)
 
     values = sample_batches(rng, samples, scalars_per_draw(cfg), draw)
-    return RateEstimate.from_values(values, seed=rng.seed)
+    return RateEstimate.from_values(values)
 
 
 def symmetric_rate_asymptotic(cfg: SystemConfig) -> AsymptoticSymmetricRate:

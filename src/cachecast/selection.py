@@ -57,6 +57,18 @@ def _check_selection(cfg: SystemConfig, threshold: float) -> None:
         raise ValueError("threshold must be nonnegative")
 
 
+def _rate_samples(cfg: SystemConfig, threshold: float, rng: RngStream, samples: int):
+    """Per-draw (rates, selected counts) at a threshold, on a fresh generator of rng."""
+    return selection_rate_samples(
+        cfg.normalized_cache,
+        cfg.num_users,
+        snr_above_probability(cfg, threshold),
+        math.log1p(threshold),
+        rng.generator(),
+        samples,
+    )
+
+
 def simulated_selection_rate(
     cfg: SystemConfig,
     threshold: float,
@@ -69,17 +81,9 @@ def simulated_selection_rate(
     decentralized by construction of the selection scheme.
     """
     _check_selection(cfg, threshold)
-    above = snr_above_probability(cfg, threshold)
-    values, counts = selection_rate_samples(
-        cfg.normalized_cache,
-        cfg.num_users,
-        above,
-        math.log1p(threshold),
-        rng.generator(),
-        samples,
-    )
+    values, counts = _rate_samples(cfg, threshold, rng, samples)
     return SelectionEstimate(
-        rate=RateEstimate.from_values(values, seed=rng.seed),
+        rate=RateEstimate.from_values(values),
         selected_fraction=float(counts.mean()) / cfg.num_users,
     )
 
@@ -102,15 +106,7 @@ def empirical_optimal_threshold(
     _check_selection(cfg, bracket[0])
 
     def rate_at(s: float) -> float:
-        values, _ = selection_rate_samples(
-            cfg.normalized_cache,
-            cfg.num_users,
-            snr_above_probability(cfg, s),
-            math.log1p(s),
-            rng.generator(),
-            samples,
-        )
-        return float(values.mean())
+        return float(_rate_samples(cfg, s, rng, samples)[0].mean())
 
     best_s, _ = maximize_1d(rate_at, bracket[0], bracket[1], tol=_SEARCH_TOL, grid_points=41)
     return best_s

@@ -18,6 +18,7 @@ from cachecast.experiments import (
     _multiplex_row,
     db_to_linear,
     default_samples,
+    fig345_config,
     run_fig1,
     run_fig2,
     run_fig3_4_5,
@@ -61,6 +62,7 @@ def test_json_output():
     assert payload["schema"] == CSV_SCHEMA
     assert payload["rows"][0]["mean_nats"] == "inf"
     assert payload["rows"][0]["K"] == 10
+    assert tuple(payload["rows"][0]) == experiments.COLUMNS
 
 
 def test_fig1_rows_and_determinism():
@@ -112,7 +114,7 @@ def test_sweep_rows_rerun_alone_from_their_substreams(scheme, row_at, nt, L):
 
 def test_fig3_point_reruns_alone_from_its_substream():
     res = run_fig3_4_5(seed=5, samples=4, p_db_grid=(10.0,), m_grid=(0.1, 0.3))
-    alone = _fig345_point(RngStream(5).derive(1), 10.0, 0.3, 4)
+    alone = _fig345_point(RngStream(5).derive(1), 10.0, fig345_config(10.0, 0.3), 4)
     assert sorted(alone, key=lambda r: r.scheme) == [r for r in res.rows if r.m == 0.3]
 
 
@@ -275,9 +277,29 @@ def test_cli_check_passes(capsys):
         ("sweep", '{"nt": 0}', "nt"),
         ("split", '{"K": -1}', "K"),
         ("fig3", '{"samples": 0}', "samples"),
+        ("fig1", '{"P_dB": [4000.0]}', "P_dB"),
+        ("fig2", '{"P_dB": [4000.0]}', "P_dB"),
+        ("fig3", '{"P_dB": [4000.0]}', "P_dB"),
+        ("sweep", '{"P_dB": [4000.0]}', "P_dB"),
+        ("threshold", '{"P_dB": 4000.0}', "P_dB"),
+        ("split", '{"P_dB": 4000.0}', "P_dB"),
+        ("fig3", '{"m": [0.1, 1.5]}', "m"),
+        ("fig4", '{"m": [-0.1]}', "m"),
+        ("fig5", '{"m": [2.0]}', "m"),
+        ("sweep", '{"m": [1.5]}', "m"),
+        ("split", '{"m": -0.5}', "m"),
+        ("sweep", '{"sigma2": 1.5}', "sigma2"),
+        ("sweep", '{"sigma2": -0.1}', "sigma2"),
+        ("sweep", '{"placement": "random"}', "placement"),
+        ("sweep", '{"scheme": "telepathy"}', "scheme"),
+        ("fig3", '{"P_dB": [10.0, -3.0]}', "P_dB"),
+        ("fig4", '{"P_dB": [-3.0]}', "P_dB"),
+        ("fig5", '{"P_dB": [-3.0]}', "P_dB"),
+        ("split", '{"P_dB": -3.0}', "P_dB"),
     ],
 )
-def test_cli_rejects_bad_config_values(command, config, key, tmp_path, capsys):
+def test_cli_rejects_bad_config_values(command, config, key, tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(experiments, "_sweep", lambda *a: pytest.fail("a point ran"))
     path = tmp_path / "bad.json"
     path.write_text(config)
     assert main([command, "--config", str(path)]) == 1

@@ -104,8 +104,8 @@ def test_zf_estimators_reduce_batches_in_draw_order():
         norm2, g2, inter = zf_stats(scenario, gen, n)
         private.append(np.log1p(g2 * (P / K) / (1.0 + inter * (P / K))).mean(axis=1))
         common.append(np.log1p((P / K) * norm2).min(axis=1))
-    private_ref = RateEstimate.from_values(np.concatenate(private), seed=stream.seed)
-    common_ref = RateEstimate.from_values(np.concatenate(common), seed=stream.seed)
+    private_ref = RateEstimate.from_values(np.concatenate(private))
+    common_ref = RateEstimate.from_values(np.concatenate(common))
     assert symmetric_rate_mc(scenario, stream, 250) == private_ref
     none = mixed_rates_mc(scenario, PowerSplit.compute(scenario, 0.0), stream, 250)
     assert none == MixedRates.compose(scenario, 0.0, private_ref.mean)
@@ -170,7 +170,7 @@ def test_asymptotic_max_term_costs_rate():
     # common rate relative to the simplified (max-dropped) form
     scenario = cfg(K=100, nt=150, P=5_000.0, m=0.1, s2=0.3)
     split = PowerSplit.compute(scenario, 2_000.0)
-    kept = mixed_rates_asymptotic(scenario, split, RngStream(54))
+    kept = mixed_rates_asymptotic(scenario, split)
     dropped = mixed_rates_asymptotic(scenario, split, simplified=True)
     assert kept.common_rate < dropped.common_rate
     assert kept.common_rate == pytest.approx(dropped.common_rate, rel=0.2)

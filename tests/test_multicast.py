@@ -93,7 +93,7 @@ def test_parallel_rate_reduces_batches_in_draw_order():
     for n in counts:
         true, _, _ = draw_channel_batch(scenario, gen, n)
         values.append(np.log1p((30.0 / 10) * squared_row_norms(true)).mean(axis=1).min(axis=1))
-    ref = RateEstimate.from_values(np.concatenate(values), seed=24)
+    ref = RateEstimate.from_values(np.concatenate(values))
     assert avg_rate_parallel(scenario, RngStream(24), 250) == ref
 
 
@@ -125,12 +125,10 @@ def test_substack_draws_match_one_shot_formulas(K, nt, L, samples, s2):
     ref_gen = RngStream(31).generator()
     batches = [_one_shot_values(scenario, ref_gen, n) for n in counts]
     rate, lower, upper = (np.concatenate(parts) for parts in zip(*batches))
-    expected = RateEstimate.from_values(rate, seed=31)
+    expected = RateEstimate.from_values(rate)
     assert avg_rate_parallel(scenario, RngStream(31), samples) == expected
-    assert parallel_rate_bounds(scenario, RngStream(31), samples) == (
-        RateEstimate.from_values(lower, seed=31),
-        RateEstimate.from_values(upper, seed=31),
-    )
+    bounds = (RateEstimate.from_values(lower), RateEstimate.from_values(upper))
+    assert parallel_rate_bounds(scenario, RngStream(31), samples) == bounds
     # four sub-stacks, the last of one row, leave the stream where one draw of n does
     rows = next(substacks(samples, per_draw))
     n = 3 * (rows.stop - rows.start) + 1
