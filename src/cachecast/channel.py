@@ -128,18 +128,17 @@ def draw_channel_batch(
     """n independent realizations: (true, est, err), each (n, L, K, nt).
 
     The degenerate variances skip the redundant normal draws, so the stream
-    consumption is a deterministic function of (cfg, n).
+    consumption is a deterministic function of (cfg, n).  There the zero
+    part (err at sigma2 = 0, est at sigma2 = 1) is a read-only zero-stride
+    view of one scalar: it costs no memory, and its nbytes is still the
+    logical size.
     """
     shape = (n, cfg.num_subchannels, cfg.num_users, cfg.num_tx_antennas)
     s2 = cfg.csit_error_var
-    if s2 == 0.0:
-        est = _complex_normal(gen, shape, 1.0)
-        err = np.zeros(shape, dtype=np.complex128)
-        return est, est, err
-    if s2 == 1.0:
-        err = _complex_normal(gen, shape, 1.0)
-        est = np.zeros(shape, dtype=np.complex128)
-        return err, est, err
+    if s2 in (0.0, 1.0):
+        drawn = _complex_normal(gen, shape, 1.0)
+        zero = np.broadcast_to(np.complex128(0.0), shape)
+        return (drawn, drawn, zero) if s2 == 0.0 else (drawn, zero, drawn)
     est = _complex_normal(gen, shape, 1.0 - s2)
     err = _complex_normal(gen, shape, s2)
     return est + err, est, err
@@ -184,10 +183,13 @@ def channel_stacks(
 def squared_row_norms(h: np.ndarray) -> np.ndarray:
     """Sum of |entry|^2 along the last (antenna) axis.
 
-    The estimators pass one sub-stack of `channel_stacks` at a time, so the
-    real^2 and imag^2 temporaries stay a sub-stack's size.
+    The estimators pass one sub-stack of `channel_stacks` at a time, and
+    imag^2 is added into real^2 in place, so the two temporaries stay a
+    sub-stack's size.
     """
-    return (h.real * h.real + h.imag * h.imag).sum(axis=-1)
+    sq = h.real * h.real
+    sq += h.imag * h.imag
+    return sq.sum(axis=-1)
 
 
 def scalars_per_draw(cfg: SystemConfig) -> int:

@@ -54,11 +54,14 @@ CSV_SCHEMA = "cachecast-sweep-v1"
 
 
 def db_to_linear(x_db: float) -> float:
-    """10^(x_db / 10); a P_dB whose power overflows a float is a config error."""
+    """10^(x_db / 10); a P_dB whose power overflows or underflows a float is a config error."""
     try:
-        return 10.0 ** (x_db / 10.0)
+        power = 10.0 ** (x_db / 10.0)
     except OverflowError:
         raise ValueError(f"P_dB: {x_db!r} dB is beyond the float range") from None
+    if power == 0.0:
+        raise ValueError(f"P_dB: {x_db!r} dB underflows to zero power")
+    return power
 
 
 def default_samples(num_users: int) -> int:
@@ -286,11 +289,14 @@ def fig345_config(per_user_p_db: float, m: float, num_users: int = FIG345_USERS)
     per_user = db_to_linear(per_user_p_db)
     if not per_user >= 1.0:
         raise ValueError(f"P_dB: sigma2 = 1/p needs a per-user power >= 0 dB, got {per_user_p_db!r}")
+    total = per_user * num_users
+    if total == math.inf:
+        raise ValueError(f"P_dB: {per_user_p_db!r} dB times K = {num_users} is beyond the float range")
     _check_fraction("m", (m,))
     return SystemConfig(
         num_users=num_users,
         num_tx_antennas=num_users,
-        total_power=per_user * num_users,
+        total_power=total,
         normalized_cache=m,
         csit_error_var=1.0 / per_user,
     )

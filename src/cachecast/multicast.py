@@ -53,9 +53,9 @@ class AsymptoticRate:
 def _parallel_rate_values(cfg: SystemConfig, gen: np.random.Generator, n: int) -> np.ndarray:
     values = np.empty(n)
     for rows, true, _, _ in channel_stacks(cfg, gen, n):
-        norms = squared_row_norms(true)  # (rows, L, K)
-        snr = (cfg.total_power / cfg.num_tx_antennas) * norms
-        values[rows] = np.log1p(snr).mean(axis=1).min(axis=1)
+        snr = squared_row_norms(true)  # (rows, L, K)
+        snr *= cfg.total_power / cfg.num_tx_antennas
+        values[rows] = np.log1p(snr, out=snr).mean(axis=1).min(axis=1)
     return values
 
 

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -39,6 +40,27 @@ def test_split_holds_bit_exactly():
     true, est, err = draw_channel_batch(cfg, RngStream(1).generator(), 3)
     assert true.shape == (3, 1, 3, 4)
     np.testing.assert_array_equal(true, est + err)
+
+
+@pytest.mark.parametrize("s2", [0.0, 1.0])
+def test_degenerate_draw_allocates_only_the_drawn_tensor(s2):
+    # the zero part is a read-only view, so a draw holds one unit of
+    # n*L*K*nt*16 bytes, not a drawn tensor plus a zero one
+    cfg = SystemConfig(
+        num_users=20, num_tx_antennas=5, total_power=1.0, num_subchannels=2, csit_error_var=s2
+    )
+    n = 500
+    gen = RngStream(8).generator()
+    draw_channel_batch(cfg, gen, 1)  # numpy's one-time set-up is not working set
+    tracemalloc.start()
+    try:
+        true, est, err = draw_channel_batch(cfg, gen, n)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak / (n * 2 * 20 * 5 * 16) < 1.1
+    zero = err if s2 == 0.0 else est
+    assert zero.shape == true.shape and not zero.flags.writeable and not zero.any()
 
 
 @pytest.mark.parametrize("s2", [0.0, 0.1, 1.0])

@@ -283,6 +283,12 @@ def test_cli_check_passes(capsys):
         ("sweep", '{"P_dB": [4000.0]}', "P_dB"),
         ("threshold", '{"P_dB": 4000.0}', "P_dB"),
         ("split", '{"P_dB": 4000.0}', "P_dB"),
+        ("fig3", '{"P_dB": [3080.0]}', "P_dB"),
+        ("split", '{"P_dB": 3080.0}', "P_dB"),
+        ("threshold", '{"P_dB": -4000.0}', "P_dB"),
+        ("fig1", '{"P_dB": [-4000.0]}', "P_dB"),
+        ("fig2", '{"P_dB": [-4000.0]}', "P_dB"),
+        ("sweep", '{"P_dB": [-4000.0]}', "P_dB"),
         ("fig3", '{"m": [0.1, 1.5]}', "m"),
         ("fig4", '{"m": [-0.1]}', "m"),
         ("fig5", '{"m": [2.0]}', "m"),

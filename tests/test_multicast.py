@@ -139,12 +139,14 @@ def test_substack_draws_match_one_shot_formulas(K, nt, L, samples, s2):
     assert gens[0].standard_normal() == gens[1].standard_normal() == gens[2].standard_normal()
 
 
-def test_avg_rate_parallel_working_set_is_a_few_substacks():
-    # at sigma2 = 0 the draws are taken one sub-stack at a time, so the peak
-    # is a few sub-stacks plus the (n,) values, not the n*K*nt*16 bytes
+@pytest.mark.parametrize("s2", [0.0, 1.0])
+def test_avg_rate_parallel_working_set_is_a_few_substacks(s2):
+    # at sigma2 in {0, 1} the draws are taken one sub-stack at a time and
+    # their zero part costs nothing, so the peak is the drawn sub-stack, the
+    # row-norm temporaries and the (n,) values, not the n*K*nt*16 bytes
     # (32 MB here) of one draw of n
     K, nt, n = 400, 5, 1000
-    scenario = cfg(K, nt, 1000.0)
+    scenario = SystemConfig(num_users=K, num_tx_antennas=nt, total_power=1000.0, csit_error_var=s2)
     rows = next(substacks(n, scalars_per_draw(scenario)))
     stack = (rows.stop - rows.start) * K * nt * 16
     avg_rate_parallel(scenario, RngStream(47), 10)  # numpy's one-time set-up is not working set
@@ -154,7 +156,7 @@ def test_avg_rate_parallel_working_set_is_a_few_substacks():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 6 * stack + 4 * n * 8
+    assert peak < 2.5 * stack + 4 * n * 8
 
 
 def test_avg_rate_parallel_imperfect_csit_holds_one_estimate_tensor():
