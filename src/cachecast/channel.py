@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterator, Tuple, Union
+from typing import Iterator, Tuple
 
 import numpy as np
 
@@ -27,7 +27,6 @@ __all__ = [
     "squared_row_norms",
     "substacks",
     "scalars_per_draw",
-    "batch_counts",
     "sample_batches",
 ]
 
@@ -144,15 +143,16 @@ def draw_channel_batch(
     return est + err, est, err
 
 
-def substacks(n: int, scalars_per_row: int) -> Iterator[slice]:
-    """Slices of range(n) along axis 0 holding about _SUBSTACK_SCALARS each.
+def substacks(n: int, scalars_per_row: int, budget: int = _SUBSTACK_SCALARS) -> Iterator[slice]:
+    """Consecutive slices of range(n) of budget // scalars_per_row rows (at least one).
 
-    Row-local work on a stack of draws runs one sub-stack at a time, so
-    its temporaries stay a fixed size whatever the batch; results are
-    bit-identical to the one-shot expression because no reduction crosses
-    axis 0.
+    The one rule that splits every stream: `sample_batches` cuts the samples
+    into batches at _BATCH_TARGET scalars, and row-local work inside a batch
+    runs one sub-stack of about _SUBSTACK_SCALARS at a time, so its
+    temporaries stay a fixed size; results are bit-identical to the one-shot
+    expression because no reduction crosses axis 0.
     """
-    step = max(1, _SUBSTACK_SCALARS // max(scalars_per_row, 1))
+    step = max(1, budget // max(scalars_per_row, 1))
     return (slice(lo, min(lo + step, n)) for lo in range(0, n, step))
 
 
@@ -198,36 +198,20 @@ def scalars_per_draw(cfg: SystemConfig) -> int:
     return base if cfg.csit_error_var in (0.0, 1.0) else 2 * base
 
 
-def batch_counts(samples: int, scalars_per_sample: int) -> Iterator[int]:
-    """Deterministic batch partition targeting ~4e6 scalars per batch."""
+def sample_batches(
+    rng: RngStream, samples: int, scalars_per_sample: int
+) -> Iterator[Tuple[np.random.Generator, slice]]:
+    """(gen, rows) for each batch of range(samples), all on one generator of rng.
+
+    The one batch loop of every Monte-Carlo estimator: the batches are the
+    `substacks` of the samples at _BATCH_TARGET, in draw order, and the
+    estimator writes each batch into outputs it allocated once.  `samples`
+    is checked on the call, before the caller allocates them.
+    """
     if samples < 1:
         raise ValueError("samples must be >= 1")
-    per_batch = max(1, _BATCH_TARGET // max(scalars_per_sample, 1))
-    left = samples
-    while left > 0:
-        n = min(per_batch, left)
-        yield n
-        left -= n
-
-
-def sample_batches(
-    rng: RngStream,
-    samples: int,
-    scalars_per_sample: int,
-    draw: Callable[[np.random.Generator, int], Union[np.ndarray, tuple]],
-) -> Union[np.ndarray, tuple]:
-    """Run draw(gen, n) over the batch partition of `samples` on one generator.
-
-    The one batch loop of every Monte-Carlo estimator.  `draw` returns an
-    array, or a tuple of arrays, with n rows; the batches are concatenated
-    along axis 0 in draw order, so reducing the result is bit-identical to
-    reducing each batch row by row.
-    """
     gen = rng.generator()
-    parts = [draw(gen, n) for n in batch_counts(samples, scalars_per_sample)]
-    if isinstance(parts[0], tuple):
-        return tuple(np.concatenate(arrs, axis=0) for arrs in zip(*parts))
-    return np.concatenate(parts, axis=0)
+    return ((gen, rows) for rows in substacks(samples, scalars_per_sample, _BATCH_TARGET))
 
 
 def min_norm_statistic(
@@ -247,12 +231,12 @@ def min_norm_statistic(
     if nt < 1 or num_users < 1:
         raise ValueError("nt and num_users must be >= 1")
 
-    def draw(gen: np.random.Generator, n: int) -> np.ndarray:
+    batches = sample_batches(rng, samples, num_users * nt)
+    mins = np.empty(samples)
+    for gen, rows in batches:
         # leading antenna axis: reducing over it is contiguous and cheap
-        draws = gen.standard_exponential((nt, n, num_users), dtype=dtype)
-        return draws.sum(axis=0).min(axis=1) / nt
-
-    mins = sample_batches(rng, samples, num_users * nt, draw)
+        draws = gen.standard_exponential((nt, rows.stop - rows.start, num_users), dtype=dtype)
+        mins[rows] = draws.sum(axis=0).min(axis=1) / nt
     return RateEstimate.from_values(mins)
 
 

@@ -356,6 +356,13 @@ def run_sweep(
         raise ValueError(f"scheme: expected multicast or multiplex, got {scheme!r}")
     if placement not in channel.PLACEMENTS:
         raise ValueError(f"placement: expected one of {channel.PLACEMENTS}, got {placement!r}")
+    num_tx = num_users if nt is None else nt
+    if scheme == "multiplex" and num_tx < num_users:
+        raise ValueError(f"nt: zero forcing requires nt >= K = {num_users}, got {nt!r}")
+    if scheme == "multiplex" and subchannels != 1:
+        raise ValueError(
+            f"L: zero forcing runs on the quasi-static channel (L = 1), got {subchannels!r}"
+        )
     _check_fraction("sigma2", (sigma2,))
     _check_fraction("m", m_grid)
     points = [(float(p), float(m)) for p in p_db_grid for m in m_grid]
@@ -365,7 +372,7 @@ def run_sweep(
     def point(sub: RngStream, p_db: float, m: float) -> list:
         cfg = SystemConfig(
             num_users=num_users,
-            num_tx_antennas=num_users if nt is None else nt,
+            num_tx_antennas=num_tx,
             total_power=power[p_db],
             num_subchannels=subchannels,
             normalized_cache=m,

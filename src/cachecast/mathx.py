@@ -94,6 +94,8 @@ def _lower_gamma_series(shape: float, x: float) -> float:
         total += term
         if abs(term) < abs(total) * DEFAULT_TOL.rel_tol:
             break
+    else:
+        raise ValueError(f"_lower_gamma_series did not converge at (shape, x) = ({shape!r}, {x!r})")
     log_prefactor = shape * math.log(x) - x - math.lgamma(shape)
     return total * math.exp(log_prefactor)
 
@@ -119,6 +121,8 @@ def _upper_gamma_cf(shape: float, x: float) -> float:
         h *= delta
         if abs(delta - 1.0) < DEFAULT_TOL.rel_tol:
             break
+    else:
+        raise ValueError(f"_upper_gamma_cf did not converge at (shape, x) = ({shape!r}, {x!r})")
     log_prefactor = shape * math.log(x) - x - math.lgamma(shape)
     return h * math.exp(log_prefactor)
 

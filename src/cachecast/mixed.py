@@ -134,12 +134,11 @@ def mixed_rates_mc(
     cfg: SystemConfig, split: PowerSplit, rng: RngStream, samples: int
 ) -> MixedRates:
     """Exact MC of both flow rates under successive common-first decoding."""
-    common, private = sample_batches(
-        rng,
-        samples,
-        scalars_per_draw(cfg),
-        lambda gen, n: _flow_values(split, cfg.num_tx_antennas, *zf_stats(cfg, gen, n)),
-    )
+    batches = sample_batches(rng, samples, scalars_per_draw(cfg))
+    common, private = np.empty(samples), np.empty(samples)
+    for gen, rows in batches:
+        stats = zf_stats(cfg, gen, rows.stop - rows.start)
+        common[rows], private[rows] = _flow_values(split, cfg.num_tx_antennas, *stats)
     return MixedRates.compose(cfg, float(common.mean()), float(private.mean()))
 
 
@@ -203,9 +202,10 @@ def optimal_split_numeric(
     if cfg.normalized_cache == 1.0:
         # a full cache makes the common flow infinitely efficient
         return SplitOptimum(common_power=P, rate=math.inf, at_boundary=True)
-    norm2, g2, inter = sample_batches(
-        rng, samples, scalars_per_draw(cfg), lambda gen, n: zf_stats(cfg, gen, n)
-    )
+    batches = sample_batches(rng, samples, scalars_per_draw(cfg))
+    norm2, g2, inter = (np.empty((samples, cfg.num_users)) for _ in range(3))
+    for gen, rows in batches:
+        norm2[rows], g2[rows], inter[rows] = zf_stats(cfg, gen, rows.stop - rows.start)
 
     # exact-key memo: the edge checks below reuse the scan's own evaluations
     rates: dict = {}

@@ -3,9 +3,10 @@
 Under isotropic signaling the instantaneous multicast rate is the log-rate
 of the worst user, averaged over the L sub-channels a codeword spans.  The
 asymptotic table is driven by the extreme-value normalizer
-a_K = nt * (K / nt!)^(1/nt).  The estimators reduce over
-`channel.channel_stacks` (a batch's estimates first, then its errors per
-sub-stack), so a batch holds its estimate tensor plus one sub-stack.
+a_K = nt * (K / nt!)^(1/nt).  The estimators write each batch of
+`channel.sample_batches` into preallocated (samples,) outputs, reducing it
+over `channel.channel_stacks` (a batch's estimates first, then its errors
+per sub-stack), so a batch holds its estimate tensor plus one sub-stack.
 """
 
 from __future__ import annotations
@@ -50,20 +51,16 @@ class AsymptoticRate:
     a_k: float
 
 
-def _parallel_rate_values(cfg: SystemConfig, gen: np.random.Generator, n: int) -> np.ndarray:
-    values = np.empty(n)
-    for rows, true, _, _ in channel_stacks(cfg, gen, n):
-        snr = squared_row_norms(true)  # (rows, L, K)
-        snr *= cfg.total_power / cfg.num_tx_antennas
-        values[rows] = np.log1p(snr, out=snr).mean(axis=1).min(axis=1)
-    return values
-
-
 def avg_rate_parallel(cfg: SystemConfig, rng: RngStream, samples: int) -> RateEstimate:
     """MC mean of min_k (1/L) sum_l ln(1 + snr_{k,l}) over fresh draws."""
-    values = sample_batches(
-        rng, samples, scalars_per_draw(cfg), lambda gen, n: _parallel_rate_values(cfg, gen, n)
-    )
+    batches = sample_batches(rng, samples, scalars_per_draw(cfg))
+    values = np.empty(samples)
+    for gen, batch in batches:
+        out = values[batch]
+        for rows, true, _, _ in channel_stacks(cfg, gen, batch.stop - batch.start):
+            snr = squared_row_norms(true)  # (rows, L, K)
+            snr *= cfg.total_power / cfg.num_tx_antennas
+            out[rows] = np.log1p(snr, out=snr).mean(axis=1).min(axis=1)
     return RateEstimate.from_values(values)
 
 
@@ -74,19 +71,6 @@ def avg_rate_quasistatic(cfg: SystemConfig, rng: RngStream, samples: int) -> Rat
     return avg_rate_parallel(cfg, rng, samples)
 
 
-def _bound_values(
-    cfg: SystemConfig, gen: np.random.Generator, n: int
-) -> Tuple[np.ndarray, np.ndarray]:
-    lower, upper = np.empty(n), np.empty(n)
-    for rows, true, _, _ in channel_stacks(cfg, gen, n):
-        # per-antenna SNR terms P * |h_{j,k,l}|^2, flattened over (l, j)
-        per_antenna = cfg.total_power * (true.real**2 + true.imag**2)  # (rows, L, K, nt)
-        avg_snr = per_antenna.mean(axis=(1, 3))  # (rows, K)
-        lower[rows] = np.log1p(per_antenna).mean(axis=(1, 3)).min(axis=1)
-        upper[rows] = np.log1p(avg_snr.min(axis=1))
-    return lower, upper
-
-
 def parallel_rate_bounds(
     cfg: SystemConfig, rng: RngStream, samples: int
 ) -> Tuple[RateEstimate, RateEstimate]:
@@ -95,10 +79,17 @@ def parallel_rate_bounds(
     Computed from the same draws, so paired-seed comparisons against
     avg_rate_parallel are sandwich-tight up to MC error.
     """
-    lows, ups = sample_batches(
-        rng, samples, scalars_per_draw(cfg), lambda gen, n: _bound_values(cfg, gen, n)
-    )
-    return RateEstimate.from_values(lows), RateEstimate.from_values(ups)
+    batches = sample_batches(rng, samples, scalars_per_draw(cfg))
+    lower, upper = np.empty(samples), np.empty(samples)
+    for gen, batch in batches:
+        low, up = lower[batch], upper[batch]
+        for rows, true, _, _ in channel_stacks(cfg, gen, batch.stop - batch.start):
+            # per-antenna SNR terms P * |h_{j,k,l}|^2, flattened over (l, j)
+            per_antenna = cfg.total_power * (true.real**2 + true.imag**2)  # (rows, L, K, nt)
+            avg_snr = per_antenna.mean(axis=(1, 3))  # (rows, K)
+            low[rows] = np.log1p(per_antenna).mean(axis=(1, 3)).min(axis=1)
+            up[rows] = np.log1p(avg_snr.min(axis=1))
+    return RateEstimate.from_values(lower), RateEstimate.from_values(upper)
 
 
 def asymptotic_rate(cfg: SystemConfig) -> AsymptoticRate:

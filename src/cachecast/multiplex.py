@@ -136,12 +136,15 @@ def zf_stats(
     function of (cfg, n), and the signal term is Gt_kk alone.  A config
     that fails `validate_zf_config` raises before anything is drawn.
 
-    The draws come from `channel.channel_stacks`: at 0 < sigma2 < 1 all n
-    estimates first, then the errors one sub-stack at a time.  The row
-    norms, the beams, Gt and the reductions run per sub-stack; every step
-    is per draw, so the (n, K) outputs equal the one-shot computation bit
-    for bit while the working set is the n estimates (at sigma2 = 1 the
-    blind channel and the auxiliary matrix) plus one sub-stack.
+    The n draws are one batch: the estimators call this once per batch of
+    `channel.sample_batches`.  They come from `channel.channel_stacks`: at
+    0 < sigma2 < 1 all n estimates first, then the errors one sub-stack at
+    a time.  The row norms, the beams, Gt and the reductions run per
+    sub-stack (`channel.substacks`, the rule that also cuts the batches);
+    every step is per draw, so the (n, K) outputs equal the one-shot
+    computation bit for bit while the working set is the n estimates (at
+    sigma2 = 1 the blind channel and the auxiliary matrix) plus one
+    sub-stack.
     """
     validate_zf_config(cfg)
     K, nt, s2 = cfg.num_users, cfg.num_tx_antennas, cfg.csit_error_var
@@ -181,12 +184,11 @@ def symmetric_rate_mc(cfg: SystemConfig, rng: RngStream, samples: int) -> RateEs
     the true channel; the rate is averaged over users and draws.
     """
     p = cfg.total_power / cfg.num_users
-
-    def draw(gen: np.random.Generator, n: int) -> np.ndarray:
-        _, g2, inter = zf_stats(cfg, gen, n)
-        return private_rate_values(g2, inter, p)
-
-    values = sample_batches(rng, samples, scalars_per_draw(cfg), draw)
+    batches = sample_batches(rng, samples, scalars_per_draw(cfg))
+    values = np.empty(samples)
+    for gen, rows in batches:
+        _, g2, inter = zf_stats(cfg, gen, rows.stop - rows.start)
+        values[rows] = private_rate_values(g2, inter, p)
     return RateEstimate.from_values(values)
 
 

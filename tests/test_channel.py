@@ -8,15 +8,18 @@ from cachecast.channel import (
     RngStream,
     SystemConfig,
     _complex_normal,
-    batch_counts,
     channel_stacks,
     draw_channel_batch,
     exact_min_mean,
     min_norm_statistic,
+    sample_batches,
     scalars_per_draw,
     squared_row_norms,
     substacks,
 )
+from cachecast.mixed import PowerSplit, mixed_rates_mc, optimal_split_numeric
+from cachecast.multicast import avg_rate_parallel, parallel_rate_bounds
+from cachecast.multiplex import symmetric_rate_mc
 
 
 def test_config_validation():
@@ -181,12 +184,42 @@ def test_scalars_per_draw_counts_error_draws():
     assert scalars_per_draw(SystemConfig(**base, csit_error_var=0.5)) == 48
 
 
-def test_batch_counts_partition():
-    counts = list(batch_counts(10_000, 1_000))
-    assert sum(counts) == 10_000
-    assert max(counts) == 4_000
+def test_sample_batches_partition():
+    stream = RngStream(4)
+    batches = list(sample_batches(stream, 10_000, 1_000))
+    assert [(r.start, r.stop) for _, r in batches] == [(0, 4_000), (4_000, 8_000), (8_000, 10_000)]
+    assert all(gen is batches[0][0] for gen, _ in batches)
+    assert batches[0][0].standard_normal() == stream.generator().standard_normal()
+    # the batches are the sub-stack rule at a larger budget
+    assert [r for _, r in batches] == list(substacks(10_000, 1_000, 4_000_000))
     with pytest.raises(ValueError):
-        list(batch_counts(0, 10))
+        sample_batches(stream, 0, 10)
+
+
+_ZF_CFG = SystemConfig(
+    num_users=2, num_tx_antennas=3, total_power=4.0, normalized_cache=0.2, csit_error_var=0.1
+)
+
+
+@pytest.mark.parametrize(
+    "estimator",
+    [
+        lambda n: avg_rate_parallel(_ZF_CFG, RngStream(1), n),
+        lambda n: parallel_rate_bounds(_ZF_CFG, RngStream(1), n),
+        lambda n: symmetric_rate_mc(_ZF_CFG, RngStream(1), n),
+        lambda n: mixed_rates_mc(_ZF_CFG, PowerSplit.compute(_ZF_CFG, 1.0), RngStream(1), n),
+        lambda n: optimal_split_numeric(_ZF_CFG, RngStream(1), n),
+        lambda n: min_norm_statistic(3, 2, RngStream(1), n),
+    ],
+    ids=["parallel", "bounds", "symmetric", "mixed", "split", "min_norm"],
+)
+@pytest.mark.parametrize("samples", [0, -1])
+def test_estimators_check_samples_before_allocating(estimator, samples):
+    # the outputs are allocated at (samples,): the check must come first, or
+    # -1 would surface as numpy's "negative dimensions" error
+    with pytest.raises(ValueError) as exc:
+        estimator(samples)
+    assert str(exc.value) == "samples must be >= 1"
 
 
 def test_exact_min_mean_known_values():

@@ -298,6 +298,8 @@ def test_cli_check_passes(capsys):
         ("sweep", '{"sigma2": -0.1}', "sigma2"),
         ("sweep", '{"placement": "random"}', "placement"),
         ("sweep", '{"scheme": "telepathy"}', "scheme"),
+        ("sweep", '{"scheme": "multiplex", "K": 8, "nt": 4}', "nt"),
+        ("sweep", '{"scheme": "multiplex", "L": 2}', "L"),
         ("fig3", '{"P_dB": [10.0, -3.0]}', "P_dB"),
         ("fig4", '{"P_dB": [-3.0]}', "P_dB"),
         ("fig5", '{"P_dB": [-3.0]}', "P_dB"),

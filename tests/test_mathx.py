@@ -66,6 +66,22 @@ def test_gammas_complement():
             assert reg_lower_gamma(a, x) + reg_upper_gamma(a, x) == pytest.approx(1.0, abs=1e-12)
 
 
+@pytest.mark.parametrize(
+    "fn, shape, x, routine",
+    [
+        (reg_lower_gamma, 2e5, 2e5, "_lower_gamma_series"),
+        (reg_lower_gamma, 1e6, 1e6, "_lower_gamma_series"),
+        (reg_upper_gamma, 1e8, 1e8 + 1, "_upper_gamma_cf"),
+    ],
+)
+def test_regularized_gammas_raise_at_their_iteration_cap(fn, shape, x, routine):
+    # at the cap the partial sums were off scipy's value (0.4774 for 0.5001
+    # at shape 1e6), so the loops raise rather than return them
+    with pytest.raises(ValueError) as exc:
+        fn(shape, x)
+    assert str(exc.value) == f"{routine} did not converge at (shape, x) = ({shape!r}, {x!r})"
+
+
 def test_maximize_1d_quadratic():
     x, val = maximize_1d(lambda t: -(t - 1.3) ** 2 + 2.0, 0.0, 4.0, tol=DEFAULT_TOL)
     assert x == pytest.approx(1.3, abs=1e-6)

@@ -7,7 +7,7 @@ import pytest
 
 from cachecast import mixed
 from cachecast.caching import transmissions
-from cachecast.channel import RngStream, SystemConfig, batch_counts, scalars_per_draw
+from cachecast.channel import RngStream, SystemConfig, sample_batches, scalars_per_draw
 from cachecast.experiments import run_fig3_4_5
 from cachecast.mathx import maximize_1d
 from cachecast.mixed import (
@@ -90,27 +90,45 @@ def test_zf_estimators_reject_subchannels_before_drawing():
     assert gen.standard_normal() == RngStream(1).generator().standard_normal()
 
 
-def test_zf_estimators_reduce_batches_in_draw_order():
+def test_zf_estimators_reduce_batches_in_draw_order(monkeypatch):
     # K = nt = 100 at 0 < sigma2 < 1 takes 40_000 normals per draw, so 250
     # samples are drawn in batches of 100, 100 and 50
     K, P = 100, 1000.0
     scenario = cfg(K=K, nt=K, P=P, s2=0.1)
-    counts = list(batch_counts(250, scalars_per_draw(scenario)))
-    assert counts == [100, 100, 50]
     stream = RngStream(57)
+    counts = [r.stop - r.start for _, r in sample_batches(stream, 250, scalars_per_draw(scenario))]
+    assert counts == [100, 100, 50]
     gen = stream.generator()
     private, common = [], []
     for n in counts:
         norm2, g2, inter = zf_stats(scenario, gen, n)
         private.append(np.log1p(g2 * (P / K) / (1.0 + inter * (P / K))).mean(axis=1))
         common.append(np.log1p((P / K) * norm2).min(axis=1))
-    private_ref = RateEstimate.from_values(np.concatenate(private))
-    common_ref = RateEstimate.from_values(np.concatenate(common))
+    private, common = np.concatenate(private), np.concatenate(common)
+    # the per-draw values each estimator reduces, captured where it reduces them
+    seen_values, seen_flows = [], []
+    from_values, flow_values = RateEstimate.from_values.__func__, mixed._flow_values
+
+    def capture_values(cls, values):
+        seen_values.append(np.array(values))
+        return from_values(cls, values)
+
+    def capture_flows(*args):
+        seen_flows.append(flow_values(*args))
+        return seen_flows[-1]
+
+    monkeypatch.setattr(RateEstimate, "from_values", classmethod(capture_values))
+    monkeypatch.setattr(mixed, "_flow_values", capture_flows)
+    private_ref = from_values(RateEstimate, private)
     assert symmetric_rate_mc(scenario, stream, 250) == private_ref
+    assert len(seen_values) == 1 and np.array_equal(seen_values[0], private)
     none = mixed_rates_mc(scenario, PowerSplit.compute(scenario, 0.0), stream, 250)
     assert none == MixedRates.compose(scenario, 0.0, private_ref.mean)
+    assert np.array_equal(np.concatenate([pv for _, pv in seen_flows]), private)
+    seen_flows.clear()
     full = mixed_rates_mc(scenario, PowerSplit.compute(scenario, P), stream, 250)
-    assert full == MixedRates.compose(scenario, common_ref.mean, 0.0)
+    assert full == MixedRates.compose(scenario, float(common.mean()), 0.0)
+    assert np.array_equal(np.concatenate([c for c, _ in seen_flows]), common)
 
 
 def test_optimal_split_evaluates_each_power_once(monkeypatch):

@@ -8,15 +8,13 @@ from scipy import special
 from cachecast.channel import (
     RngStream,
     SystemConfig,
-    batch_counts,
     draw_channel_batch,
+    sample_batches,
     scalars_per_draw,
     squared_row_norms,
     substacks,
 )
 from cachecast.multicast import (
-    _bound_values,
-    _parallel_rate_values,
     asymptotic_rate,
     avg_rate_parallel,
     avg_rate_quasistatic,
@@ -86,7 +84,8 @@ def test_parallel_rate_reduces_batches_in_draw_order():
     # K = 1000, nt = 10, L = 2 takes 40_000 normals per draw, so 250
     # samples are drawn in batches of 100, 100 and 50
     scenario = cfg(1000, 10, 30.0, L=2)
-    counts = list(batch_counts(250, scalars_per_draw(scenario)))
+    batches = sample_batches(RngStream(24), 250, scalars_per_draw(scenario))
+    counts = [rows.stop - rows.start for _, rows in batches]
     assert counts == [100, 100, 50]
     gen = RngStream(24).generator()
     values = []
@@ -109,33 +108,54 @@ def _one_shot_values(scenario, gen, n):
     return rate, lower, upper
 
 
+@pytest.fixture
+def per_draw_values(monkeypatch):
+    """The arrays handed to RateEstimate.from_values, and the generators made, in call order."""
+    values, gens = [], []
+    from_values, generator = RateEstimate.from_values.__func__, RngStream.generator
+
+    def capture_values(cls, arr):
+        values.append(np.array(arr))
+        return from_values(cls, arr)
+
+    def capture_generator(self):
+        gens.append(generator(self))
+        return gens[-1]
+
+    monkeypatch.setattr(RateEstimate, "from_values", classmethod(capture_values))
+    monkeypatch.setattr(RngStream, "generator", capture_generator)
+    return values, gens
+
+
 @pytest.mark.parametrize("s2", [0.0, 1.0, 0.1])
 @pytest.mark.parametrize(
     # (1000, 10, 2) takes 40_000 normals per draw: every sub-stack is one row
     "K, nt, L, samples",
     [(500, 1, 1, 4500), (400, 1, 3, 2000), (400, 4, 1, 1300), (1000, 10, 2, 101)],
 )
-def test_substack_draws_match_one_shot_formulas(K, nt, L, samples, s2):
+def test_substack_draws_match_one_shot_formulas(K, nt, L, samples, s2, per_draw_values):
     scenario = SystemConfig(
         num_users=K, num_tx_antennas=nt, total_power=30.0, num_subchannels=L, csit_error_var=s2
     )
+    values, gens = per_draw_values
     per_draw = scalars_per_draw(scenario)
-    counts = list(batch_counts(samples, per_draw))
+    counts = [r.stop - r.start for _, r in sample_batches(RngStream(31), samples, per_draw)]
     assert len(counts) >= 2 and sum(len(list(substacks(n, per_draw))) for n in counts) >= 3
     ref_gen = RngStream(31).generator()
     batches = [_one_shot_values(scenario, ref_gen, n) for n in counts]
     rate, lower, upper = (np.concatenate(parts) for parts in zip(*batches))
-    expected = RateEstimate.from_values(rate)
-    assert avg_rate_parallel(scenario, RngStream(31), samples) == expected
-    bounds = (RateEstimate.from_values(lower), RateEstimate.from_values(upper))
-    assert parallel_rate_bounds(scenario, RngStream(31), samples) == bounds
+    avg_rate_parallel(scenario, RngStream(31), samples)
+    parallel_rate_bounds(scenario, RngStream(31), samples)
+    assert len(values) == 3
+    assert all(np.array_equal(a, b) for a, b in zip(values, (rate, lower, upper)))
     # four sub-stacks, the last of one row, leave the stream where one draw of n does
     rows = next(substacks(samples, per_draw))
     n = 3 * (rows.stop - rows.start) + 1
-    gens = [RngStream(32).generator() for _ in range(3)]
-    ref = _one_shot_values(scenario, gens[0], n)
-    assert np.array_equal(_parallel_rate_values(scenario, gens[1], n), ref[0])
-    assert all(np.array_equal(a, b) for a, b in zip(_bound_values(scenario, gens[2], n), ref[1:]))
+    del values[:], gens[:]
+    ref = _one_shot_values(scenario, RngStream(32).generator(), n)
+    avg_rate_parallel(scenario, RngStream(32), n)
+    parallel_rate_bounds(scenario, RngStream(32), n)
+    assert len(values) == 3 and all(np.array_equal(a, b) for a, b in zip(values, ref))
     assert gens[0].standard_normal() == gens[1].standard_normal() == gens[2].standard_normal()
 
 
