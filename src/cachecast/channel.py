@@ -63,20 +63,18 @@ class SystemConfig:
     placement: str = "decentralized"
 
     def __post_init__(self) -> None:
-        if self.num_users < 1:
-            raise ValueError("num_users must be >= 1")
-        if self.num_tx_antennas < 1:
-            raise ValueError("num_tx_antennas must be >= 1")
-        if self.num_subchannels < 1:
-            raise ValueError("num_subchannels must be >= 1")
+        """Each message leads with the config key the CLI reads the field from."""
+        for key, count in (("K", self.num_users), ("nt", self.num_tx_antennas),
+                           ("L", self.num_subchannels)):
+            if count < 1:
+                raise ValueError(f"{key}: expected an integer >= 1, got {count!r}")
         if not 0.0 <= self.total_power < math.inf:
             raise ValueError(f"total_power must be finite and nonnegative, got {self.total_power}")
-        if not 0.0 <= self.normalized_cache <= 1.0:
-            raise ValueError("normalized_cache must be in [0, 1]")
-        if not 0.0 <= self.csit_error_var <= 1.0:
-            raise ValueError("csit_error_var must be in [0, 1]")
+        for key, fraction in (("m", self.normalized_cache), ("sigma2", self.csit_error_var)):
+            if not 0.0 <= fraction <= 1.0:
+                raise ValueError(f"{key}: expected a value in [0, 1], got {fraction!r}")
         if self.placement not in PLACEMENTS:
-            raise ValueError(f"placement must be one of {PLACEMENTS}")
+            raise ValueError(f"placement: expected one of {PLACEMENTS}, got {self.placement!r}")
 
 
 @dataclass(frozen=True)

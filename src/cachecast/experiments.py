@@ -26,7 +26,7 @@ import json
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass, fields
+from dataclasses import dataclass, fields
 from typing import Callable, Optional, Sequence, TextIO
 
 import numpy as np
@@ -90,20 +90,19 @@ class SweepRow:
 COLUMNS = tuple(f.name for f in fields(SweepRow))
 
 
-def _cell(value) -> str:
-    if isinstance(value, float):
-        if math.isinf(value):
-            return "inf" if value > 0 else "-inf"
-        return repr(value)
-    return str(value)
+def _cell(value):
+    """The one rule of row output: +-inf becomes "inf"/"-inf", any other value is kept.
+
+    csv.writer prints the kept floats with repr, and json writes them as numbers.
+    """
+    if isinstance(value, float) and math.isinf(value):
+        return "inf" if value > 0 else "-inf"
+    return value
 
 
 @dataclass(frozen=True)
 class SweepResult:
     rows: tuple
-
-    def sorted(self) -> "SweepResult":
-        return SweepResult(rows=tuple(sorted(self.rows, key=lambda r: (r.scheme, r.K, r.P_dB, r.m))))
 
     def write_csv(self, fh: TextIO) -> None:
         fh.write(f"# {CSV_SCHEMA}\n")
@@ -113,13 +112,7 @@ class SweepResult:
             writer.writerow([_cell(getattr(row, c)) for c in COLUMNS])
 
     def write_json(self, fh: TextIO) -> None:
-        payload = []
-        for row in self.rows:
-            d = asdict(row)
-            for k, v in d.items():
-                if isinstance(v, float) and math.isinf(v):
-                    d[k] = "inf" if v > 0 else "-inf"
-            payload.append(d)
+        payload = [{c: _cell(getattr(row, c)) for c in COLUMNS} for row in self.rows]
         json.dump({"schema": CSV_SCHEMA, "rows": payload}, fh, indent=2)
         fh.write("\n")
 
@@ -135,13 +128,14 @@ def _sweep(seed: int, points: Sequence[tuple], point_rows: Callable) -> SweepRes
     """The one grid loop: point_rows(RngStream(seed).derive(i), *points[i]) for each i.
 
     The points run on one thread per usable CPU, capped at the number of
-    points, and their rows are collected in grid order.
+    points; the rows come out sorted by (scheme, K, P_dB, m).
     """
     base = RngStream(seed)
     threads = max(1, min(_usable_cpus(), len(points)))  # an empty grid gives no rows
     with ThreadPoolExecutor(max_workers=threads) as pool:
         chunks = list(pool.map(lambda i: point_rows(base.derive(i), *points[i]), range(len(points))))
-    return SweepResult(rows=tuple(row for chunk in chunks for row in chunk)).sorted()
+    rows = (row for chunk in chunks for row in chunk)
+    return SweepResult(rows=tuple(sorted(rows, key=lambda r: (r.scheme, r.K, r.P_dB, r.m))))
 
 
 def _row(
@@ -183,13 +177,6 @@ def _multiplex_row(
 ) -> SweepRow:
     est = multiplex.symmetric_rate_mc(cfg, rng, samples)
     return _delivery_row(scheme, cfg, p_db, rng, samples, 0.0, est, 1.0 - cfg.normalized_cache)
-
-
-def _check_fraction(key: str, values: Sequence[float]) -> None:
-    """A cache fraction m or an error variance sigma2, checked before any point runs."""
-    for v in values:
-        if not 0.0 <= v <= 1.0:
-            raise ValueError(f"{key}: expected a value in [0, 1], got {v!r}")
 
 
 def _check_selection_cache(m: float) -> None:
@@ -292,7 +279,6 @@ def fig345_config(per_user_p_db: float, m: float, num_users: int = FIG345_USERS)
     total = per_user * num_users
     if total == math.inf:
         raise ValueError(f"P_dB: {per_user_p_db!r} dB times K = {num_users} is beyond the float range")
-    _check_fraction("m", (m,))
     return SystemConfig(
         num_users=num_users,
         num_tx_antennas=num_users,
@@ -350,38 +336,30 @@ def run_sweep(
     sigma2: float = 0.0,
     placement: str = "decentralized",
 ) -> SweepResult:
-    """One scheme over grids of P_dB and m; nt defaults to K."""
+    """One scheme over grids of P_dB and m; nt defaults to K.
+
+    Every point's config is built, and so checked, before any point runs.
+    """
     row_at = {"multicast": _multicast_row, "multiplex": _multiplex_row}.get(scheme)
     if row_at is None:
         raise ValueError(f"scheme: expected multicast or multiplex, got {scheme!r}")
-    if placement not in channel.PLACEMENTS:
-        raise ValueError(f"placement: expected one of {channel.PLACEMENTS}, got {placement!r}")
-    num_tx = num_users if nt is None else nt
-    if scheme == "multiplex" and num_tx < num_users:
-        raise ValueError(f"nt: zero forcing requires nt >= K = {num_users}, got {nt!r}")
-    if scheme == "multiplex" and subchannels != 1:
-        raise ValueError(
-            f"L: zero forcing runs on the quasi-static channel (L = 1), got {subchannels!r}"
-        )
-    _check_fraction("sigma2", (sigma2,))
-    _check_fraction("m", m_grid)
-    points = [(float(p), float(m)) for p in p_db_grid for m in m_grid]
-    power = {p_db: db_to_linear(p_db) for p_db, _ in points}
-    n = samples if samples is not None else default_samples(num_users)
-
-    def point(sub: RngStream, p_db: float, m: float) -> list:
-        cfg = SystemConfig(
+    points = [
+        (p_db, SystemConfig(
             num_users=num_users,
-            num_tx_antennas=num_tx,
-            total_power=power[p_db],
+            num_tx_antennas=num_users if nt is None else nt,
+            total_power=db_to_linear(p_db),
             num_subchannels=subchannels,
             normalized_cache=m,
             csit_error_var=sigma2,
             placement=placement,
-        )
-        return [row_at(scheme, cfg, p_db, sub, n)]
-
-    return _sweep(seed, points, point)
+        ))
+        for p_db in map(float, p_db_grid) for m in map(float, m_grid)
+    ]
+    if scheme == "multiplex":
+        for _, cfg in points:
+            multiplex.validate_zf_config(cfg)
+    n = samples if samples is not None else default_samples(num_users)
+    return _sweep(seed, points, lambda sub, p_db, cfg: [row_at(scheme, cfg, p_db, sub, n)])
 
 
 # --- Property suite -------------------------------------------------------

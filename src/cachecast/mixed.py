@@ -165,10 +165,9 @@ def mixed_rates_asymptotic(
     leakages ~ Gamma(K-1, sigma2) on _LEAKAGE_STREAM) unless `simplified`
     drops the maximization, which together with the private term
     reproduces the tractable two-term objective used by the closed-form
-    split.
+    split.  A config that fails `validate_zf_config` raises.
     """
-    if cfg.num_tx_antennas < cfg.num_users:
-        raise ValueError("zero forcing requires num_tx_antennas >= num_users")
+    validate_zf_config(cfg)
     nt, K, s2 = cfg.num_tx_antennas, cfg.num_users, cfg.csit_error_var
     flags: Tuple[str, ...] = ("extrapolated",) if nt == K else ()
     p = split.private_per_user
@@ -199,10 +198,10 @@ def optimal_split_numeric(
     """
     validate_zf_config(cfg)
     P, nt = cfg.total_power, cfg.num_tx_antennas
+    batches = sample_batches(rng, samples, scalars_per_draw(cfg))  # checks samples, also at m = 1
     if cfg.normalized_cache == 1.0:
         # a full cache makes the common flow infinitely efficient
         return SplitOptimum(common_power=P, rate=math.inf, at_boundary=True)
-    batches = sample_batches(rng, samples, scalars_per_draw(cfg))
     norm2, g2, inter = (np.empty((samples, cfg.num_users)) for _ in range(3))
     for gen, rows in batches:
         norm2[rows], g2[rows], inter[rows] = zf_stats(cfg, gen, rows.stop - rows.start)

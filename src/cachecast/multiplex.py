@@ -114,11 +114,16 @@ def build_zf_precoder(est_h: np.ndarray) -> ZfPrecoder:
 
 
 def validate_zf_config(cfg: SystemConfig) -> None:
-    """The scenario check shared by every zero-forcing Monte-Carlo estimator."""
-    if cfg.num_tx_antennas < cfg.num_users:
-        raise ValueError("zero forcing requires num_tx_antennas >= num_users")
-    if cfg.num_subchannels != 1:
-        raise ValueError("zero forcing runs on the quasi-static channel (L = 1)")
+    """The one zero-forcing scenario rule: nt >= K on the quasi-static channel.
+
+    Every zero-forcing estimator and closed form calls it; each message
+    leads with the config key the CLI reads.
+    """
+    K, nt, L = cfg.num_users, cfg.num_tx_antennas, cfg.num_subchannels
+    if nt < K:
+        raise ValueError(f"nt: zero forcing requires nt >= K = {K}, got {nt!r}")
+    if L != 1:
+        raise ValueError(f"L: zero forcing runs on the quasi-static channel (L = 1), got {L!r}")
 
 
 def zf_stats(
@@ -132,29 +137,31 @@ def zf_stats(
     off-diagonal energy of Gt.  With perfect CSIT (sigma2 = 0) Gt is zero,
     so it is not formed.  When the estimate carries no information
     (sigma2 = 1) the beams are built from an auxiliary isotropic matrix,
-    drawn after the channel batch so the channel stream position stays a
+    drawn after the n blind channels so the channel stream position stays a
     function of (cfg, n), and the signal term is Gt_kk alone.  A config
     that fails `validate_zf_config` raises before anything is drawn.
 
     The n draws are one batch: the estimators call this once per batch of
     `channel.sample_batches`.  They come from `channel.channel_stacks`: at
     0 < sigma2 < 1 all n estimates first, then the errors one sub-stack at
-    a time.  The row norms, the beams, Gt and the reductions run per
-    sub-stack (`channel.substacks`, the rule that also cuts the batches);
-    every step is per draw, so the (n, K) outputs equal the one-shot
-    computation bit for bit while the working set is the n estimates (at
-    sigma2 = 1 the blind channel and the auxiliary matrix) plus one
+    a time.  At sigma2 = 1 the n blind channels come first, then the
+    auxiliary matrix one sub-stack at a time.  The row norms, the beams, Gt
+    and the reductions run per sub-stack (`channel.substacks`, the rule
+    that also cuts the batches); every step is per draw, so the (n, K)
+    outputs equal the one-shot computation bit for bit while the working
+    set is the n estimates (at sigma2 = 1 the blind channels) plus one
     sub-stack.
     """
     validate_zf_config(cfg)
     K, nt, s2 = cfg.num_users, cfg.num_tx_antennas, cfg.csit_error_var
-    stacks = channel_stacks(cfg, gen, n)
     if s2 == 1.0:  # the beams come from the auxiliary matrix, not the zero estimate
-        blind = np.empty((n, 1, K, nt), dtype=np.complex128)
-        for rows, true, _, _ in stacks:
-            blind[rows] = true
-        aux = _complex_normal(gen, blind.shape, 1.0)
-        stacks = ((r, blind[r], aux[r], blind[r]) for r in substacks(n, scalars_per_draw(cfg)))
+        blind = _complex_normal(gen, (n, 1, K, nt), 1.0)
+        stacks = (
+            (r, blind[r], _complex_normal(gen, blind[r].shape, 1.0), blind[r])
+            for r in substacks(n, scalars_per_draw(cfg))
+        )
+    else:
+        stacks = channel_stacks(cfg, gen, n)
     norm2, g2 = np.empty((n, K)), np.empty((n, K))
     inter = np.zeros((n, K))
     idx = np.arange(K)
@@ -198,12 +205,11 @@ def symmetric_rate_asymptotic(cfg: SystemConfig) -> AsymptoticSymmetricRate:
     Bounded effective gain x = (nt-K+1)(1-sigma2):  (1 + x)/(1/p + K - 1);
     growing gain: ln(1 + x/(1/p + (K-1) sigma2)).  The finite proxy x <> 1
     selects the case; nt = K is served with an extrapolation flag since the
-    derivation assumes strictly more antennas than users.
+    derivation assumes strictly more antennas than users.  A config that
+    fails `validate_zf_config` raises.
     """
-    nt, K = cfg.num_tx_antennas, cfg.num_users
-    if nt < K:
-        raise ValueError("zero forcing requires num_tx_antennas >= num_users")
-    s2 = cfg.csit_error_var
+    validate_zf_config(cfg)
+    nt, K, s2 = cfg.num_tx_antennas, cfg.num_users, cfg.csit_error_var
     p = cfg.total_power / K
     proxy = (nt - K + 1) * (1.0 - s2)
     if proxy < 1.0:

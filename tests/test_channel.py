@@ -17,25 +17,63 @@ from cachecast.channel import (
     squared_row_norms,
     substacks,
 )
-from cachecast.mixed import PowerSplit, mixed_rates_mc, optimal_split_numeric
+from cachecast.mixed import (
+    PowerSplit,
+    mixed_rates_asymptotic,
+    mixed_rates_mc,
+    optimal_split_numeric,
+)
 from cachecast.multicast import avg_rate_parallel, parallel_rate_bounds
-from cachecast.multiplex import symmetric_rate_mc
+from cachecast.multiplex import symmetric_rate_asymptotic, symmetric_rate_mc, validate_zf_config
 
 
 def test_config_validation():
-    with pytest.raises(ValueError):
-        SystemConfig(num_users=0, num_tx_antennas=1, total_power=1.0)
+    # the other fields are checked, with their keys, below
     with pytest.raises(ValueError):
         SystemConfig(num_users=1, num_tx_antennas=1, total_power=-1.0)
     for power in (math.nan, math.inf):
         with pytest.raises(ValueError, match="finite"):
             SystemConfig(num_users=1, num_tx_antennas=1, total_power=power)
-    with pytest.raises(ValueError):
-        SystemConfig(num_users=1, num_tx_antennas=1, total_power=1.0, normalized_cache=1.5)
-    with pytest.raises(ValueError):
-        SystemConfig(num_users=1, num_tx_antennas=1, total_power=1.0, csit_error_var=2.0)
-    with pytest.raises(ValueError):
-        SystemConfig(num_users=1, num_tx_antennas=1, total_power=1.0, placement="exotic")
+
+
+_OK = dict(num_users=2, num_tx_antennas=2, total_power=1.0)
+
+
+@pytest.mark.parametrize(
+    "field, value, key",
+    [
+        ("num_users", 0, "K"),
+        ("num_tx_antennas", 0, "nt"),
+        ("num_subchannels", 0, "L"),
+        ("normalized_cache", 1.5, "m"),
+        ("csit_error_var", 2.0, "sigma2"),
+        ("placement", "exotic", "placement"),
+    ],
+)
+def test_config_errors_lead_with_the_cli_key(field, value, key):
+    with pytest.raises(ValueError) as exc:
+        SystemConfig(**{**_OK, field: value})
+    assert str(exc.value).startswith(f"{key}: ")
+
+
+@pytest.mark.parametrize(
+    "check",
+    [
+        validate_zf_config,
+        symmetric_rate_asymptotic,
+        lambda c: mixed_rates_asymptotic(c, PowerSplit.compute(c, 0.0)),
+    ],
+    ids=["validate", "symmetric_asymptotic", "mixed_asymptotic"],
+)
+@pytest.mark.parametrize(
+    "overrides, key",
+    [({"num_users": 8, "num_tx_antennas": 4}, "nt"), ({"num_subchannels": 2}, "L")],
+    ids=["nt_below_K", "L2"],
+)
+def test_zero_forcing_errors_lead_with_the_cli_key(check, overrides, key):
+    with pytest.raises(ValueError) as exc:
+        check(SystemConfig(**{**_OK, **overrides}))
+    assert str(exc.value).startswith(f"{key}: ")
 
 
 def test_split_holds_bit_exactly():
@@ -199,6 +237,9 @@ def test_sample_batches_partition():
 _ZF_CFG = SystemConfig(
     num_users=2, num_tx_antennas=3, total_power=4.0, normalized_cache=0.2, csit_error_var=0.1
 )
+_FULL_CACHE_CFG = SystemConfig(
+    num_users=2, num_tx_antennas=3, total_power=4.0, normalized_cache=1.0, csit_error_var=0.1
+)
 
 
 @pytest.mark.parametrize(
@@ -209,9 +250,10 @@ _ZF_CFG = SystemConfig(
         lambda n: symmetric_rate_mc(_ZF_CFG, RngStream(1), n),
         lambda n: mixed_rates_mc(_ZF_CFG, PowerSplit.compute(_ZF_CFG, 1.0), RngStream(1), n),
         lambda n: optimal_split_numeric(_ZF_CFG, RngStream(1), n),
+        lambda n: optimal_split_numeric(_FULL_CACHE_CFG, RngStream(1), n),
         lambda n: min_norm_statistic(3, 2, RngStream(1), n),
     ],
-    ids=["parallel", "bounds", "symmetric", "mixed", "split", "min_norm"],
+    ids=["parallel", "bounds", "symmetric", "mixed", "split", "split_full_cache", "min_norm"],
 )
 @pytest.mark.parametrize("samples", [0, -1])
 def test_estimators_check_samples_before_allocating(estimator, samples):

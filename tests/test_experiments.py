@@ -1,3 +1,4 @@
+import csv
 import io
 import json
 import math
@@ -344,14 +345,20 @@ def test_selection_sweeps_check_m_before_any_point(command, m, tmp_path, capsys,
     ],
 )
 def test_a_full_cache_prints_an_infinite_rate(command, config, tmp_path, capsys):
-    # m = 1 needs no transmission: inf with no error bar, as the caching module defines it
+    # m = 1 needs no transmission: inf with no error bar, as the caching module
+    # defines it; both formats print the same cells
     path = tmp_path / "config.json"
     path.write_text(json.dumps(config))
-    assert main([command, "--config", str(path), "--samples", "2", "--format", "json"]) == 0
-    rows = json.loads(capsys.readouterr().out)["rows"]
-    assert rows and all((r["mean_nats"], r["std_err"]) == ("inf", 0.0) for r in rows)
-    if command == "fig3":
-        assert [r["scheme"] for r in rows] == ["mixed_opt", "multicast", "multiplex"]
+    for fmt in ("json", "csv"):
+        assert main([command, "--config", str(path), "--samples", "2", "--format", fmt]) == 0
+        out = capsys.readouterr().out
+        if fmt == "json":
+            rows, cells = json.loads(out)["rows"], ("inf", 0.0)
+        else:
+            rows, cells = list(csv.DictReader(out.splitlines()[1:])), ("inf", "0.0")
+        assert rows and all((r["mean_nats"], r["std_err"]) == cells for r in rows)
+        if command == "fig3":
+            assert [r["scheme"] for r in rows] == ["mixed_opt", "multicast", "multiplex"]
 
 
 def test_fig2_rejects_a_power_too_low_for_its_search_before_any_draw(tmp_path, capsys, monkeypatch):

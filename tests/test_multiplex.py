@@ -152,9 +152,10 @@ def test_zf_stats_working_set_stays_near_its_draws():
 
 @pytest.mark.parametrize(
     # sigma2 = 0: no tensor of n draws is held at all.  sigma2 = 1: the
-    # blind channel and the auxiliary matrix, 2 units, plus one sub-stack
+    # blind channel, 1 unit, plus one sub-stack of it and of the auxiliary
+    # matrix
     "s2, units",
-    [(0.0, 0.75), (1.0, 2.75)],
+    [(0.0, 0.75), (1.0, 1.75)],
 )
 def test_zf_stats_degenerate_csit_working_set(s2, units):
     assert _zf_stats_peak(s2) <= units
