@@ -2,13 +2,17 @@
 
 This is the only layer that speaks decibels and files; everything below it
 works in linear SNR and plain dataclasses.  Config keys are checked per
-command (`_COMMANDS`).  Exit codes: 0 success, 1 bad configuration,
-2 property-suite failure.
+command (`_COMMANDS`).  Exit codes: 0 success, 1 bad configuration
+(or an allocation the system refuses), 2 property-suite failure.  Each
+command runs with OpenBLAS on one thread (`_one_blas_thread`).
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
+import ctypes
+import functools
 import json
 import sys
 from typing import Optional
@@ -16,6 +20,7 @@ from typing import Optional
 from . import mixed, selection
 from .channel import RngStream
 from .experiments import (
+    FIG345_SAMPLES,
     FIG345_USERS,
     SweepResult,
     db_to_linear,
@@ -51,7 +56,8 @@ def _threshold(p_db: float = 30.0) -> int:
 
 
 def _split(
-    seed: int, samples: int = 200, p_db: float = 20.0, m: float = 0.1, num_users: int = FIG345_USERS
+    seed: int, samples: int = FIG345_SAMPLES, p_db: float = 20.0, m: float = 0.1,
+    num_users: int = FIG345_USERS,
 ) -> int:
     scenario = fig345_config(p_db, m, num_users=num_users)  # p_db is per-user power
     opt = mixed.optimal_split_numeric(scenario, RngStream(seed), samples)
@@ -190,14 +196,53 @@ def _run(args: argparse.Namespace) -> int:
     return 0
 
 
+@functools.cache
+def _openblas() -> Optional[tuple]:
+    """numpy's OpenBLAS thread-count (getter, setter), or None for another BLAS.
+
+    Looked up once, on the first command rather than on import.
+    """
+    try:
+        from numpy._core import _multiarray_umath
+
+        lib = ctypes.CDLL(_multiarray_umath.__file__)
+        get, set_ = lib.scipy_openblas_get_num_threads64_, lib.scipy_openblas_set_num_threads64_
+    except (ImportError, OSError, AttributeError):
+        return None
+    set_.argtypes, set_.restype = [ctypes.c_int], None
+    return get, set_
+
+
+@contextlib.contextmanager
+def _one_blas_thread():
+    """OpenBLAS on one thread inside the body; the caller's count after it.
+
+    A command's output then does not depend on the BLAS thread count it
+    started with (the ZF solves of fig3-5 round differently on more
+    threads), and the grid pool is the one parallel layer.
+    """
+    blas = _openblas()
+    if blas is None:
+        yield
+        return
+    get, set_ = blas
+    caller = get()
+    set_(1)
+    try:
+        yield
+    finally:
+        set_(caller)
+
+
 def main(argv: Optional[list] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    try:
-        return _run(args)
-    except (ValueError, OSError, json.JSONDecodeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    with _one_blas_thread():
+        try:
+            return _run(args)
+        except (ValueError, OSError, MemoryError, json.JSONDecodeError) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 1
 
 
 if __name__ == "__main__":

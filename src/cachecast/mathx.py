@@ -172,7 +172,7 @@ def maximize_1d(
     if not lo < hi:
         raise ValueError(f"need lo < hi, got [{lo}, {hi}]")
     if grid_points < 3:
-        grid_points = 3
+        raise ValueError(f"need grid_points >= 3, got {grid_points}")
     step = (hi - lo) / (grid_points - 1)
     best_x, best_f = lo, -math.inf
     values = []

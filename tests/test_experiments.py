@@ -2,6 +2,8 @@ import csv
 import io
 import json
 import math
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -230,6 +232,64 @@ def test_cli_threshold_and_exit_codes(tmp_path, capsys):
     assert main(["threshold", "--config", str(bad)]) == 1
     missing = tmp_path / "nope.json"
     assert main(["threshold", "--config", str(missing)]) == 1
+
+
+@pytest.mark.parametrize("command, runner", [("split", "_split"), ("fig2", "run_fig2")])
+def test_cli_reports_a_refused_allocation(command, runner, monkeypatch, capsys):
+    # raised by a stub: a real oversized allocation may be killed instead of refused
+    message = "Unable to allocate 149. GiB for an array with shape (100000, 100000, 2)"
+
+    def refuse(**kwargs):
+        raise MemoryError(message)
+
+    monkeypatch.setattr(cli, runner, refuse)
+    assert main([command]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+# Starts OpenBLAS on two threads and runs three commands: one whose runner
+# records the count it sees, one with a bad config, and one whose runner
+# raises an error that main does not catch; prints the count after each.
+_BLAS_CHILD = """
+import json, sys
+from cachecast import cli
+blas = cli._openblas()
+if blas is None:
+    print("null")
+    sys.exit()
+get, set_ = blas
+set_(2)  # OpenBLAS caps the variable at the CPU count
+seen = []
+cli._threshold = lambda p_db=30.0: seen.append(get()) or 0
+codes, after = [], []
+for argv in (["threshold"], ["threshold", "--config", sys.argv[1]]):
+    codes.append(cli.main(argv))
+    after.append(get())
+def fail(**kwargs):
+    raise RuntimeError("uncaught")
+cli._split = fail
+try:
+    cli.main(["split"])
+except RuntimeError:
+    after.append(get())
+print(json.dumps({"seen": seen, "codes": codes, "after": after}))
+"""
+
+
+def test_cli_runs_commands_on_one_blas_thread_and_restores_the_count(tmp_path):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({"K": 3}))  # not a threshold key
+    proc = subprocess.run(
+        [sys.executable, "-c", _BLAS_CHILD, str(bad)],
+        env={**os.environ, "OPENBLAS_NUM_THREADS": "2",
+             "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")},
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    printed = json.loads(proc.stdout)
+    if printed is None:
+        pytest.skip("numpy's BLAS is not OpenBLAS, whose thread count commands leave alone")
+    assert printed == {"seen": [1], "codes": [0, 1], "after": [2, 2, 2]}
 
 
 def test_cli_sweep_writes_csv(tmp_path):

@@ -7,11 +7,12 @@ values from `python tests/test_golden.py default`, which prints every case
 as JSON.  The `bench-*` digests equal the `csv_sha256` that `bench/run.py`
 prints for the same workload and seed.  The table holds for numpy 2.4.6.
 
-The fig3/4/5 rows depend on the BLAS thread count (their ZF solves round
-differently on more threads), and that count is fixed only before numpy
-loads.  So the cases run in one child interpreter that sets the
-benchmark's BLAS threads first and then calls `cli.main` in-process for
-each case, as `bench/run.py` does.
+The cases run in one child interpreter that sets the benchmark's BLAS
+threads before numpy loads and then calls `cli.main` in-process for each
+case, as `bench/run.py` does.  `cli.main` runs every command with OpenBLAS
+on one thread, because the ZF solves of fig3/4/5 round differently on
+more threads; a second child starts OpenBLAS on two threads and must print
+the same fig3/4/5 digests.
 """
 
 import contextlib
@@ -106,21 +107,38 @@ def _cases(workloads) -> dict:
     return cases
 
 
+# Per child mode, the prefixes of the case names it runs.
+_MODES = {"default": ("",), "one-cpu": ("fig",), "two-blas-threads": ("fig3", "fig4", "fig5")}
+
+
 def _print_digests(mode: str) -> None:
-    """The child: every case's stdout digest as JSON; mode "one-cpu" runs fig1-5 on one thread."""
+    """The child: the stdout digest of each case of `mode` as JSON.
+
+    "one-cpu" runs fig1-5 on one grid thread; "two-blas-threads" runs
+    fig3-5 with OpenBLAS started on two threads, as an unset
+    OPENBLAS_NUM_THREADS gives on a 2-CPU machine.  The child also records
+    the OpenBLAS thread count it started with (None for another BLAS).
+    """
     import run  # bench/run.py
     import workloads
 
-    run.set_blas_threads()  # before numpy loads
+    if mode == "two-blas-threads":
+        os.environ["OPENBLAS_NUM_THREADS"] = "2"  # before numpy loads
+    else:
+        run.set_blas_threads()  # before numpy loads
     import numpy as np
 
     from cachecast import cli, experiments
 
+    blas = cli._openblas()
+    if blas is not None and mode == "two-blas-threads":
+        blas[1](2)  # OpenBLAS caps the variable at the CPU count
+    blas_threads = None if blas is None else blas[0]()
     if mode == "one-cpu":
         experiments._usable_cpus = lambda: 1
     cases = {}
     for name, (argv, config) in _cases(workloads).items():
-        if mode == "one-cpu" and not name.startswith("fig"):
+        if not name.startswith(_MODES[mode]):
             continue
         buf = io.StringIO()
         with tempfile.TemporaryDirectory() as tmp:
@@ -133,7 +151,7 @@ def _print_digests(mode: str) -> None:
                 code = cli.main(args)
         digest = hashlib.sha256(buf.getvalue().encode()).hexdigest()
         cases[name] = {"argv": argv, "config": config, "exit": code, "sha256": digest}
-    print(json.dumps({"numpy": np.__version__, "cases": cases}, indent=1))
+    print(json.dumps({"numpy": np.__version__, "blas_threads": blas_threads, "cases": cases}, indent=1))
 
 
 @functools.cache
@@ -157,7 +175,8 @@ def _assert_frozen(name: str, mode: str) -> None:
     assert case["sha256"] == DIGESTS[name], (
         f"{name}: `cachecast {' '.join(case['argv'])}` with config {case['config']}"
         f" printed sha256 {case['sha256']}, frozen {DIGESTS[name]}"
-        f" (numpy {printed['numpy']}; the table holds for numpy 2.4.6)"
+        f" (numpy {printed['numpy']}, OpenBLAS threads at start {printed['blas_threads']};"
+        " the table holds for numpy 2.4.6)"
     )
 
 
@@ -169,6 +188,15 @@ def test_output_is_frozen(name):
 @pytest.mark.parametrize("name", [n for n in DIGESTS if n.startswith("fig")])
 def test_figure_output_is_frozen_on_one_cpu(name):
     _assert_frozen(name, "one-cpu")
+
+
+@pytest.mark.parametrize("name", [n for n in DIGESTS if n.startswith(_MODES["two-blas-threads"])])
+def test_zf_figure_output_is_frozen_at_two_blas_threads(name):
+    threads = _printed("two-blas-threads")["blas_threads"]
+    if threads is None:
+        pytest.skip("numpy's BLAS is not OpenBLAS, whose thread count commands leave alone")
+    assert threads == 2
+    _assert_frozen(name, "two-blas-threads")
 
 
 if __name__ == "__main__":

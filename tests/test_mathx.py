@@ -99,3 +99,11 @@ def test_maximize_1d_multimodal_picks_global():
     f = lambda t: math.exp(-40 * (t - 0.2) ** 2) + 1.5 * math.exp(-40 * (t - 0.8) ** 2)
     x, _ = maximize_1d(f, 0.0, 1.0, tol=DEFAULT_TOL, grid_points=65)
     assert x == pytest.approx(0.8, abs=1e-4)
+
+
+@pytest.mark.parametrize("grid_points", [2, 1, 0])
+def test_maximize_1d_rejects_a_grid_below_three_points(grid_points):
+    calls = []
+    with pytest.raises(ValueError, match=f"need grid_points >= 3, got {grid_points}"):
+        maximize_1d(lambda x: calls.append(x) or 0.0, 0.0, 1.0, grid_points=grid_points)
+    assert calls == []
