@@ -6,6 +6,8 @@ internal math is linear; decibels appear only in the row metadata.
 
 Every sweep runs through one grid loop, `_sweep`, which builds each row
 through `_row`, the one place a row's K, nt, L, m and sigma2 are filled in.
+Each runner builds and checks its (P_dB, SystemConfig, ...) points before
+it calls `_sweep`, so a bad value fails by its key before any point runs.
 Grids run P_dB-major, over K for fig1/fig2 and over m for fig3/4/5 and
 sweep; a fig1 point is one (P_dB, K, scheme) with the scheme innermost, in
 the order mc_nt1, mc_select, mc_ntlog, mc_parallel.
@@ -26,7 +28,7 @@ import json
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 from typing import Callable, Optional, Sequence, TextIO
 
 import numpy as np
@@ -179,10 +181,17 @@ def _multiplex_row(
     return _delivery_row(scheme, cfg, p_db, rng, samples, 0.0, est, 1.0 - cfg.normalized_cache)
 
 
-def _check_selection_cache(m: float) -> None:
-    """The m of a threshold-selection sweep, checked before any point runs."""
-    if not 0.0 < m < 1.0:
-        raise ValueError(f"m: selection requires 0 < m < 1, got {m!r}")
+def _selection_grid(k_grid: Sequence[int], p_db_grid: Sequence[float], m: float) -> tuple:
+    """P_dB-major (P_dB, single-antenna config) points, each checked, and s* per P_dB."""
+    points, closed = [], {}
+    for p_db in p_db_grid:
+        P = db_to_linear(p_db)
+        closed[p_db] = selection.optimal_threshold_rayleigh(P)
+        for K in k_grid:
+            cfg = SystemConfig(num_users=K, num_tx_antennas=1, total_power=P, normalized_cache=m)
+            selection.validate_selection_config(cfg)
+            points.append((p_db, cfg))
+    return points, closed
 
 
 # --- Fig. 1: multicasting schemes vs K ------------------------------------
@@ -205,25 +214,21 @@ def run_fig1(
     nt = floor(ln K) antennas; single antenna over L = floor(ln K)
     sub-channels.
     """
-    _check_selection_cache(m)
-    schemes = ("mc_nt1", "mc_select", "mc_ntlog", "mc_parallel")
-    power = {p_db: db_to_linear(p_db) for p_db in p_db_grid}
+    single, closed = _selection_grid(k_grid, p_db_grid, m)
+    points = []
+    for p_db, cfg in single:
+        n_log = max(1, int(math.floor(math.log(cfg.num_users))))
+        points += [(p_db, cfg, "mc_nt1"), (p_db, cfg, "mc_select"),
+                   (p_db, replace(cfg, num_tx_antennas=n_log), "mc_ntlog"),
+                   (p_db, replace(cfg, num_subchannels=n_log), "mc_parallel")]
 
-    def point(sub: RngStream, p_db: float, K: int, scheme: str) -> list:
-        P = power[p_db]
-        n = samples if samples is not None else default_samples(K)
-        n_log = max(1, int(math.floor(math.log(K))))
-        nt, L = {"mc_ntlog": (n_log, 1), "mc_parallel": (1, n_log)}.get(scheme, (1, 1))
-        cfg = SystemConfig(
-            num_users=K, num_tx_antennas=nt, total_power=P, num_subchannels=L, normalized_cache=m
-        )
+    def point(sub: RngStream, p_db: float, cfg: SystemConfig, scheme: str) -> list:
+        n = samples if samples is not None else default_samples(cfg.num_users)
         if scheme != "mc_select":
             return [_multicast_row(scheme, cfg, p_db, sub, n)]
-        s_star = selection.optimal_threshold_rayleigh(P)
-        sel = caching.delivery_rate_selection(m, s_star, P, K, sub, n)
+        sel = caching.delivery_rate_selection(m, closed[p_db], cfg.total_power, cfg.num_users, sub, n)
         return [_row(cfg, p_db, n, seed, scheme, 1.0, sel.mean, sel.std_err)]
 
-    points = [(p_db, K, scheme) for p_db in p_db_grid for K in k_grid for scheme in schemes]
     return _sweep(seed, points, point)
 
 
@@ -241,26 +246,20 @@ def run_fig2(
     m: float = FIG1_M,
 ) -> SweepResult:
     """Optimal SNR threshold vs K: simulated argmax over (1, 3 s*) against s* = P/W(P) - 1."""
-    _check_selection_cache(m)
-    closed = {p_db: selection.optimal_threshold_rayleigh(db_to_linear(p_db)) for p_db in p_db_grid}
+    points, closed = _selection_grid(k_grid, p_db_grid, m)
     for p_db, s_star in closed.items():
         if not 3.0 * s_star > 1.0:  # below about -4.2 dB
             raise ValueError(f"P_dB: {p_db} is too low; the search bracket (1.0, {3.0 * s_star!r}) is empty")
 
-    def point(sub: RngStream, p_db: float, K: int) -> list:
-        n = samples if samples is not None else default_samples(K)
-        cfg = SystemConfig(
-            num_users=K, num_tx_antennas=1, total_power=db_to_linear(p_db), normalized_cache=m
-        )
-        s_emp = selection.empirical_optimal_threshold(
-            cfg, sub, n, bracket=(1.0, 3.0 * closed[p_db])
-        )
+    def point(sub: RngStream, p_db: float, cfg: SystemConfig) -> list:
+        n = samples if samples is not None else default_samples(cfg.num_users)
+        s_emp = selection.empirical_optimal_threshold(cfg, sub, n, (1.0, 3.0 * closed[p_db]))
         return [
             _row(cfg, p_db, n, seed, "threshold_empirical", 1.0, s_emp),
             _row(cfg, p_db, n, seed, "threshold_closed", 1.0, closed[p_db]),
         ]
 
-    return _sweep(seed, [(p_db, K) for p_db in p_db_grid for K in k_grid], point)
+    return _sweep(seed, points, point)
 
 
 # --- Figs. 3-5: mixed delivery at nt = K = 100 ----------------------------

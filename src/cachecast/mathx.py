@@ -54,7 +54,7 @@ def lambert_w(x: float) -> float:
     endpoints w(0) = 0 and asymptotically tight for large x, so a handful of
     iterations reach |w e^w - x| <= abs_tol * (1 + x).  Above about
     3.7e302, where Halley's step overflows, Newton's method solves
-    w + ln w = ln x instead.
+    w + ln w = ln x instead.  Either loop raises if it stops short.
     """
     if not math.isfinite(x):
         raise ValueError(f"lambert_w requires a finite x, got {x}")
@@ -70,17 +70,17 @@ def lambert_w(x: float) -> float:
             step = (w + math.log(w) - log_x) / (1.0 + 1.0 / w)
             w -= step
             if abs(step) <= tol.rel_tol * w:
-                break
-        return w
-    for _ in range(tol.max_iter):
-        ew = math.exp(w)
-        f = w * ew - x
-        if abs(f) <= tol.abs_tol * (1.0 + x):
-            break
-        wp1 = w + 1.0
-        # Halley step for f(w) = w e^w - x
-        w -= f / (ew * wp1 - (w + 2.0) * f / (2.0 * wp1))
-    return w
+                return w
+    else:
+        for _ in range(tol.max_iter):
+            ew = math.exp(w)
+            f = w * ew - x
+            if abs(f) <= tol.abs_tol * (1.0 + x):
+                return w
+            wp1 = w + 1.0
+            # Halley step for f(w) = w e^w - x
+            w -= f / (ew * wp1 - (w + 2.0) * f / (2.0 * wp1))
+    raise ValueError(f"lambert_w did not converge at x = {x!r}")
 
 
 def _lower_gamma_series(shape: float, x: float) -> float:

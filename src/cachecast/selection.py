@@ -22,6 +22,7 @@ __all__ = [
     "simulated_selection_rate",
     "empirical_optimal_threshold",
     "snr_above_probability",
+    "validate_selection_config",
 ]
 
 
@@ -50,15 +51,19 @@ def snr_above_probability(cfg: SystemConfig, threshold: float) -> float:
     return reg_upper_gamma(nt, nt * threshold / cfg.total_power)
 
 
-def _check_selection(cfg: SystemConfig, threshold: float) -> None:
-    if cfg.num_subchannels != 1:
-        raise ValueError("selection runs on the quasi-static channel (L = 1)")
-    if threshold < 0.0:
-        raise ValueError("threshold must be nonnegative")
+def validate_selection_config(cfg: SystemConfig) -> None:
+    """The one threshold-selection scenario rule, keyed: 0 < m < 1 on the quasi-static channel."""
+    m, L = cfg.normalized_cache, cfg.num_subchannels
+    if not 0.0 < m < 1.0:
+        raise ValueError(f"m: selection requires 0 < m < 1, got {m!r}")
+    if L != 1:
+        raise ValueError(f"L: selection runs on the quasi-static channel (L = 1), got {L!r}")
 
 
 def _rate_samples(cfg: SystemConfig, threshold: float, rng: RngStream, samples: int):
     """Per-draw (rates, selected counts) at a threshold, on a fresh generator of rng."""
+    if threshold < 0.0:
+        raise ValueError("threshold must be nonnegative")
     return selection_rate_samples(
         cfg.normalized_cache,
         cfg.num_users,
@@ -80,7 +85,7 @@ def simulated_selection_rate(
     Works for any antenna count through the Gamma SNR tail; placement is
     decentralized by construction of the selection scheme.
     """
-    _check_selection(cfg, threshold)
+    validate_selection_config(cfg)
     values, counts = _rate_samples(cfg, threshold, rng, samples)
     return SelectionEstimate(
         rate=RateEstimate.from_values(values),
@@ -100,10 +105,10 @@ def empirical_optimal_threshold(
     (common random numbers), which keeps the argmax well conditioned at
     finite sample counts and makes repeated calls identical.  The objective
     is the sample mean alone, the same float as
-    `simulated_selection_rate(...).rate.mean`, and that function's checks
-    are made once, on the bracket (every candidate lies in it).
+    `simulated_selection_rate(...).rate.mean`, and the scenario rule is
+    checked once; a negative bracket raises at its first candidate, bracket[0].
     """
-    _check_selection(cfg, bracket[0])
+    validate_selection_config(cfg)
 
     def rate_at(s: float) -> float:
         return float(_rate_samples(cfg, s, rng, samples)[0].mean())

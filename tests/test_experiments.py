@@ -393,6 +393,39 @@ def test_selection_sweeps_check_m_before_any_point(command, m, tmp_path, capsys,
     assert capsys.readouterr().err == f"error: m: selection requires 0 < m < 1, got {m}\n"
 
 
+def _selection_config(**overrides):
+    return SystemConfig(**{**dict(num_users=4, num_tx_antennas=1, total_power=10.0,
+                                  normalized_cache=0.1), **overrides})
+
+
+@pytest.mark.parametrize(
+    "call, key",
+    [
+        (lambda: run_fig1(samples=10, k_grid=(0,)), "K"),
+        (lambda: run_fig2(samples=10, k_grid=(0,)), "K"),
+        (lambda: run_fig1(samples=10, m=1.0), "m"),
+        (lambda: run_fig2(samples=10, m=1.0), "m"),
+        (lambda: selection.simulated_selection_rate(
+            _selection_config(normalized_cache=1.0), 1.0, RngStream(0), 10), "m"),
+        (lambda: selection.empirical_optimal_threshold(
+            _selection_config(normalized_cache=1.0), RngStream(0), 10, (1.0, 5.0)), "m"),
+        (lambda: selection.simulated_selection_rate(
+            _selection_config(num_subchannels=2), 1.0, RngStream(0), 10), "L"),
+        (lambda: selection.empirical_optimal_threshold(
+            _selection_config(num_subchannels=2), RngStream(0), 10, (1.0, 5.0)), "L"),
+    ],
+    ids=["fig1-K", "fig2-K", "fig1-m", "fig2-m", "simulated-m", "empirical-m", "simulated-L",
+         "empirical-L"],
+)
+def test_selection_scenarios_fail_by_key_before_any_point(call, key, monkeypatch):
+    # the runners build and check every point before the pool, and the two
+    # estimators share selection.validate_selection_config
+    monkeypatch.setattr(experiments, "_sweep", lambda *a: pytest.fail("a point ran"))
+    with pytest.raises(ValueError) as exc:
+        call()
+    assert str(exc.value).startswith(f"{key}: ")
+
+
 @pytest.mark.parametrize(
     "command, config",
     [

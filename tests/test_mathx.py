@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from scipy import special
 
+from cachecast import mathx
 from cachecast.mathx import (
     DEFAULT_TOL,
     ToleranceSpec,
@@ -49,6 +50,15 @@ def test_lambert_w_stays_finite_up_to_the_largest_float(x):
     w = lambert_w(x)
     assert math.isfinite(w)
     assert w + math.log(w) == pytest.approx(math.log(x), rel=4 * sys.float_info.epsilon)
+
+
+@pytest.mark.parametrize("x", [1e10, 1e305], ids=["halley", "newton"])
+def test_lambert_w_raises_at_its_iteration_cap(x, monkeypatch):
+    # one iteration converges neither loop from the log1p seed
+    monkeypatch.setattr(mathx, "DEFAULT_TOL", ToleranceSpec(max_iter=1))
+    with pytest.raises(ValueError) as exc:
+        lambert_w(x)
+    assert str(exc.value) == f"lambert_w did not converge at x = {x!r}"
 
 
 def test_regularized_gammas_match_scipy():
