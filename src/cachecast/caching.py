@@ -3,7 +3,9 @@
 The load T(m, K) counts file-size-normalized multicast transmissions needed
 to serve all K demands; dividing any underlying link rate by T/K turns it
 into an equivalent content delivery rate.  Rates are in nats/s/Hz and a full
-cache (m = 1) yields an infinite delivery rate by convention.
+cache (m = 1) yields an infinite delivery rate by convention.  Threshold
+selection draws through one sampler, `selection_rate_samples`, which every
+selection estimator calls with the tail probability of its channel model.
 """
 
 from __future__ import annotations
@@ -70,25 +72,31 @@ def selection_rate_samples(
     m: float,
     num_users: int,
     above_prob: float,
-    log_term: float,
-    gen: np.random.Generator,
+    threshold: float,
+    rng: RngStream,
     samples: int,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Per-sample delivery rates and selected counts (decentralized load).
 
-    Each sample draws the binomial number of selected users n and takes
-    (m/(1-m)) * n / (1 - (1-m)^n) * log_term, with the empty-selection
-    samples contributing zero.  The expression is evaluated once per count
-    in [min n, max n] and gathered by count when that range is narrower
-    than the sample count (a few hundred counts against 10^4 samples at
-    fig2's defaults), else once per sample; each value is the same float
-    either way.
+    The one selection sampler.  Each call draws from a fresh
+    `rng.generator()`, so every threshold of a search sees the same draws
+    (common random numbers).  Each sample draws the binomial number of
+    selected users n, each above the threshold with probability
+    `above_prob`, and takes (m/(1-m)) * n / (1 - (1-m)^n) * ln(1 + s), with
+    the empty-selection samples contributing zero.  The expression is
+    evaluated once per count in [min n, max n] and gathered by count when
+    that range is narrower than the sample count (a few hundred counts
+    against 10^4 samples at fig2's defaults), else once per sample; each
+    value is the same float either way.
     """
+    if threshold < 0.0:
+        raise ValueError("threshold must be nonnegative")
     if not 0.0 < m < 1.0:
         raise ValueError("selection requires 0 < m < 1")
     if samples < 1:
         raise ValueError("need at least one sample")
-    counts = gen.binomial(num_users, above_prob, size=samples)
+    counts = rng.generator().binomial(num_users, above_prob, size=samples)
+    log_term = math.log1p(threshold)
     lo = int(counts.min())
     width = int(counts.max()) - lo + 1
     if width < samples:
@@ -119,12 +127,9 @@ def delivery_rate_selection(
     decentralized load, exactly as the finite-K expectation is written; the
     s = 0 threshold gives rate 0 through the vanishing log factor.
     """
-    if threshold < 0.0:
-        raise ValueError("threshold must be nonnegative")
     if total_power <= 0.0:
         raise ValueError("total_power must be positive")
-    above = math.exp(-threshold / total_power)
-    values, _ = selection_rate_samples(
-        m, num_users, above, math.log1p(threshold), rng.generator(), samples
-    )
+    # the sampler rejects s < 0; the clamp only keeps exp from overflowing first
+    above = math.exp(-max(threshold, 0.0) / total_power)
+    values, _ = selection_rate_samples(m, num_users, above, threshold, rng, samples)
     return RateEstimate.from_values(values)

@@ -167,7 +167,10 @@ def maximize_1d(
 
     The coarse scan makes the refinement target the global maximum of the
     scanned landscape; the golden stage then localizes it.  On flat or
-    pathological objectives the best scanned point is returned.
+    pathological objectives the best scanned point is returned.  A scanned
+    end whose value ties the best wins, the first grid point before the
+    last (lo + (grid_points - 1) * step), so a caller reads a boundary
+    optimum off the returned x without evaluating the ends again.
     """
     if not lo < hi:
         raise ValueError(f"need lo < hi, got [{lo}, {hi}]")
@@ -205,4 +208,7 @@ def maximize_1d(
     for x, fx in ((x1, f1), (x2, f2)):
         if fx > best_f:
             best_x, best_f = x, fx
+    for i in (0, grid_points - 1):
+        if values[i] >= best_f:
+            return lo + i * step, values[i]
     return best_x, best_f

@@ -194,7 +194,8 @@ def optimal_split_numeric(
 
     One set of channel draws is shared by every candidate split (common
     random numbers), so the sweep over P0 is smooth and rerunning with the
-    same stream reproduces the optimum exactly.
+    same stream reproduces the optimum exactly.  The optimum is at the
+    boundary when `maximize_1d` returns a scanned end, P0 = 0 or P.
     """
     validate_zf_config(cfg)
     P, nt = cfg.total_power, cfg.num_tx_antennas
@@ -206,22 +207,14 @@ def optimal_split_numeric(
     for gen, rows in batches:
         norm2[rows], g2[rows], inter[rows] = zf_stats(cfg, gen, rows.stop - rows.start)
 
-    # exact-key memo: the edge checks below reuse the scan's own evaluations
-    rates: dict = {}
-
     def total_rate(common_power: float) -> float:
-        if common_power not in rates:
-            split = PowerSplit.compute(cfg, common_power)
-            c, pv = _flow_values(split, nt, norm2, g2, inter)
-            rates[common_power] = MixedRates.compose(cfg, float(c.mean()), float(pv.mean())).total
-        return rates[common_power]
+        split = PowerSplit.compute(cfg, common_power)
+        c, pv = _flow_values(split, nt, norm2, g2, inter)
+        return MixedRates.compose(cfg, float(c.mean()), float(pv.mean())).total
 
+    # the last grid point is 32 * (P / 32) == P, so a tied end comes back exactly
     best_p0, best_rate = maximize_1d(total_rate, 0.0, P, tol=_SPLIT_TOL, grid_points=33)
-    for edge in (0.0, P):
-        edge_rate = total_rate(edge)
-        if edge_rate >= best_rate:
-            return SplitOptimum(common_power=edge, rate=edge_rate, at_boundary=True)
-    return SplitOptimum(common_power=best_p0, rate=best_rate, at_boundary=False)
+    return SplitOptimum(common_power=best_p0, rate=best_rate, at_boundary=best_p0 in (0.0, P))
 
 
 def optimal_split_closed_form(cfg: SystemConfig) -> float:

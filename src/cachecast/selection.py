@@ -3,11 +3,12 @@
 The base station multicasts at ln(1 + s) to the users whose instantaneous
 SNR clears the threshold s; for Rayleigh SNR the rate-maximizing threshold
 has the closed form s* = P / W(P) - 1.  All thresholds here are linear SNR.
+The estimators pass the Gamma SNR tail to `caching.selection_rate_samples`,
+the one selection sampler, which restarts the stream on every call.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Tuple
 
@@ -44,9 +45,9 @@ def optimal_threshold_rayleigh(total_power: float) -> float:
 
 
 def snr_above_probability(cfg: SystemConfig, threshold: float) -> float:
-    """P(snr >= s) for the Gamma-distributed per-user SNR."""
-    if threshold == 0.0:
-        return 1.0
+    """P(snr >= s) for the Gamma-distributed per-user SNR; 1.0 at s = 0."""
+    if threshold < 0.0:
+        raise ValueError("threshold must be nonnegative")
     nt = cfg.num_tx_antennas
     return reg_upper_gamma(nt, nt * threshold / cfg.total_power)
 
@@ -58,20 +59,6 @@ def validate_selection_config(cfg: SystemConfig) -> None:
         raise ValueError(f"m: selection requires 0 < m < 1, got {m!r}")
     if L != 1:
         raise ValueError(f"L: selection runs on the quasi-static channel (L = 1), got {L!r}")
-
-
-def _rate_samples(cfg: SystemConfig, threshold: float, rng: RngStream, samples: int):
-    """Per-draw (rates, selected counts) at a threshold, on a fresh generator of rng."""
-    if threshold < 0.0:
-        raise ValueError("threshold must be nonnegative")
-    return selection_rate_samples(
-        cfg.normalized_cache,
-        cfg.num_users,
-        snr_above_probability(cfg, threshold),
-        math.log1p(threshold),
-        rng.generator(),
-        samples,
-    )
 
 
 def simulated_selection_rate(
@@ -86,7 +73,10 @@ def simulated_selection_rate(
     decentralized by construction of the selection scheme.
     """
     validate_selection_config(cfg)
-    values, counts = _rate_samples(cfg, threshold, rng, samples)
+    above = snr_above_probability(cfg, threshold)
+    values, counts = selection_rate_samples(
+        cfg.normalized_cache, cfg.num_users, above, threshold, rng, samples
+    )
     return SelectionEstimate(
         rate=RateEstimate.from_values(values),
         selected_fraction=float(counts.mean()) / cfg.num_users,
@@ -109,9 +99,11 @@ def empirical_optimal_threshold(
     checked once; a negative bracket raises at its first candidate, bracket[0].
     """
     validate_selection_config(cfg)
+    m, K = cfg.normalized_cache, cfg.num_users
 
     def rate_at(s: float) -> float:
-        return float(_rate_samples(cfg, s, rng, samples)[0].mean())
+        above = snr_above_probability(cfg, s)
+        return float(selection_rate_samples(m, K, above, s, rng, samples)[0].mean())
 
     best_s, _ = maximize_1d(rate_at, bracket[0], bracket[1], tol=_SEARCH_TOL, grid_points=41)
     return best_s

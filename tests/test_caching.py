@@ -72,8 +72,9 @@ def test_delivery_rate_selection_basics():
     assert est.mean > 0
     again = delivery_rate_selection(0.05, 100.0, 1000.0, 200, RngStream(3), 20_000)
     assert est.mean == again.mean
-    with pytest.raises(ValueError):
-        delivery_rate_selection(0.05, -1.0, 1000.0, 200, RngStream(3), 100)
+    for threshold in (-1.0, -1e6):  # -1e6 / P would overflow exp before the check
+        with pytest.raises(ValueError, match="threshold must be nonnegative"):
+            delivery_rate_selection(0.05, threshold, 1000.0, 200, RngStream(3), 100)
     with pytest.raises(ValueError):
         delivery_rate_selection(0.0, 1.0, 1000.0, 200, RngStream(3), 100)
 
@@ -116,14 +117,13 @@ def _per_sample_selection_rates(m, num_users, above_prob, log_term, gen, samples
 def test_selection_rate_samples_equal_the_per_sample_expression(
     num_users, above_prob, samples, m, per_count
 ):
-    log_term = math.log1p(123.4)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         values, counts = selection_rate_samples(
-            m, num_users, above_prob, log_term, RngStream(11).generator(), samples
+            m, num_users, above_prob, 123.4, RngStream(11), samples
         )
         ref_values, ref_counts = _per_sample_selection_rates(
-            m, num_users, above_prob, log_term, RngStream(11).generator(), samples
+            m, num_users, above_prob, math.log1p(123.4), RngStream(11).generator(), samples
         )
     # per_count: the counts span fewer values than there are samples
     assert (int(ref_counts.max() - ref_counts.min()) + 1 < samples) == per_count
@@ -135,4 +135,8 @@ def test_selection_rate_samples_equal_the_per_sample_expression(
 def test_selection_rate_samples_needs_a_sample():
     for samples in (0, -3):
         with pytest.raises(ValueError, match="need at least one sample"):
-            selection_rate_samples(0.1, 10, 0.5, 1.0, RngStream(0).generator(), samples)
+            selection_rate_samples(0.1, 10, 0.5, 1.0, RngStream(0), samples)
+    # the sampler checks the threshold itself, whatever tail its caller passed
+    for threshold in (-1.0, -1e-300, -math.inf):
+        with pytest.raises(ValueError, match="threshold must be nonnegative"):
+            selection_rate_samples(0.1, 10, 0.5, threshold, RngStream(0), 10)

@@ -6,6 +6,7 @@ import pytest
 from scipy import special
 
 from cachecast import mathx
+from cachecast.experiments import FIG1_P_DB, FIG2_P_DB, db_to_linear
 from cachecast.mathx import (
     DEFAULT_TOL,
     ToleranceSpec,
@@ -92,6 +93,35 @@ def test_regularized_gammas_raise_at_their_iteration_cap(fn, shape, x, routine):
     assert str(exc.value) == f"{routine} did not converge at (shape, x) = ({shape!r}, {x!r})"
 
 
+def _reached_special_function_calls():
+    # what `check`, fig1/fig2 and the acceptance criteria pass: integer shapes
+    # 1-64 around the series/continued-fraction switch (with check's 0.1586 nt),
+    # nt = 1 tails at every scanned threshold of fig2's bracket and criterion
+    # 01's, and Lambert W over every power the CLI accepts (P_dB -3230..3082)
+    calls = [
+        (fn, nt, nt * f)
+        for fn in (reg_lower_gamma, reg_upper_gamma)
+        for nt in range(1, 65)
+        for f in (1e-3, 0.01, 0.1, 0.1586, 0.5, 0.9, 1.0, 1.1, 2.0, 5.0, 10.0, 100.0)
+    ]
+    for p_db in FIG1_P_DB + FIG2_P_DB:
+        P = db_to_linear(p_db)
+        s_star = P / lambert_w(P) - 1.0
+        for lo, hi in ((1.0, 3.0 * s_star), (0.3 * s_star, 3.0 * s_star)):
+            calls += [(reg_upper_gamma, 1, (lo + i * (hi - lo) / 40) / P) for i in range(41)]
+    calls += [(lambert_w, db_to_linear(p_db)) for p_db in range(-3230, 3083)]
+    return calls
+
+
+def test_special_functions_stay_far_from_their_iteration_caps(monkeypatch):
+    # with every cap cut to a tenth, each reached call still returns the same
+    # float, so none comes near the cap it would raise at
+    calls = _reached_special_function_calls()
+    expected = [fn(*args) for fn, *args in calls]
+    monkeypatch.setattr(mathx, "DEFAULT_TOL", ToleranceSpec(max_iter=DEFAULT_TOL.max_iter // 10))
+    assert [fn(*args) for fn, *args in calls] == expected
+
+
 def test_maximize_1d_quadratic():
     x, val = maximize_1d(lambda t: -(t - 1.3) ** 2 + 2.0, 0.0, 4.0, tol=DEFAULT_TOL)
     assert x == pytest.approx(1.3, abs=1e-6)
@@ -102,6 +132,14 @@ def test_maximize_1d_boundary():
     x, val = maximize_1d(lambda t: t, 0.0, 2.0, tol=DEFAULT_TOL)
     assert x == pytest.approx(2.0, abs=1e-6)
     assert val == pytest.approx(2.0, abs=1e-6)
+
+
+def test_maximize_1d_returns_a_scanned_end_that_ties_the_best():
+    # the maximum 1.0 is reached at the grid point x = 1 and again at the end x = 4
+    f = lambda t: 1.0 - min(abs(t - 1.0), abs(t - 4.0))
+    assert maximize_1d(f, 0.0, 4.0, grid_points=5) == (4.0, 1.0)
+    # on a flat objective the first end wins
+    assert maximize_1d(lambda t: 0.5, 0.0, 4.0, grid_points=5) == (0.0, 0.5)
 
 
 def test_maximize_1d_multimodal_picks_global():

@@ -132,7 +132,7 @@ def test_zf_estimators_reduce_batches_in_draw_order(monkeypatch):
 
 
 def test_optimal_split_evaluates_each_power_once(monkeypatch):
-    # the edge checks after the scan reuse the scanned P0 = 0 (and P0 = P)
+    # a tied end comes back from maximize_1d's scan, not from a second evaluation
     calls = Counter()
     flow_values = mixed._flow_values
 
@@ -151,13 +151,15 @@ def test_optimal_split_evaluates_each_power_once(monkeypatch):
 
 @pytest.mark.parametrize(
     "scenario, at_boundary",
-    [(cfg(), True), (cfg(K=8, nt=8, P=80.0, m=0.5, s2=0.0125), False)],
+    [(cfg(), True), (cfg(K=8, nt=8, P=80.0, m=0.5, s2=0.0125), False), (cfg(m=1.0), True)],
 )
 def test_split_optimum_rate_is_the_composed_mixed_rate(scenario, at_boundary):
     # the optimizer composes its objective through MixedRates.compose, so its
-    # rate is the mixed MC rate at the optimum on the same stream, bit for bit
+    # rate is the mixed MC rate at the optimum on the same stream, bit for bit;
+    # m = 1 takes the early return, and at_boundary means P0 is exactly 0 or P
     opt = optimal_split_numeric(scenario, RngStream(60), 200)
     assert opt.at_boundary == at_boundary
+    assert opt.at_boundary == (opt.common_power in (0.0, scenario.total_power))
     split = PowerSplit.compute(scenario, opt.common_power)
     total = mixed_rates_mc(scenario, split, RngStream(60), 200).total
     assert type(opt.rate) is float and opt.rate == total

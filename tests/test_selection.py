@@ -29,6 +29,8 @@ def test_closed_form_is_stationary():
 def test_snr_above_probability():
     scenario = SystemConfig(num_users=3, num_tx_antennas=1, total_power=100.0)
     assert snr_above_probability(scenario, 0.0) == 1.0
+    with pytest.raises(ValueError, match="threshold must be nonnegative"):
+        snr_above_probability(scenario, -1.0)
     assert snr_above_probability(scenario, 50.0) == pytest.approx(math.exp(-0.5), rel=1e-10)
     # multi-antenna tail is the Gamma(nt) survival at nt*s/P
     four = SystemConfig(num_users=3, num_tx_antennas=4, total_power=100.0)
