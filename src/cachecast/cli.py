@@ -41,7 +41,7 @@ def _mixed_opt_rows(**kwargs) -> SweepResult:
     return SweepResult(rows=tuple(r for r in rows if r.scheme == "mixed_opt"))
 
 
-def _check(seed: int) -> int:
+def _check(seed: int = 42) -> int:
     report = run_property_suite(seed=seed)
     for check in report.checks:
         status = "pass" if check.passed else "FAIL"
@@ -56,7 +56,7 @@ def _threshold(p_db: float = 30.0) -> int:
 
 
 def _split(
-    seed: int, samples: int = FIG345_SAMPLES, p_db: float = 20.0, m: float = 0.1,
+    seed: int = 42, samples: int = FIG345_SAMPLES, p_db: float = 20.0, m: float = 0.1,
     num_users: int = FIG345_USERS,
 ) -> int:
     scenario = fig345_config(p_db, m, num_users=num_users)  # p_db is per-user power
@@ -88,8 +88,8 @@ _SPLIT = {**_RUN, "P_dB": ("p_db", "float"), "m": ("m", "float"), "K": ("num_use
 # Per command: its help line, the name of the function in this module that
 # runs it, and the config keys it reads.  The function is looked up by name
 # when the command runs, so a rebinding of that name is seen.  Only the keys
-# present in a config are passed, so each default lives in the function's
-# signature; any other key is an error.
+# present in a config or given as a flag are passed, so each default lives in
+# the function's signature; any other key is an error.
 _COMMANDS = {
     "fig1": ("multicasting schemes vs number of users", "run_fig1", _FIG12),
     "fig2": ("optimal selection threshold, empirical vs closed form", "run_fig2", _FIG12),
@@ -120,9 +120,9 @@ def build_parser() -> argparse.ArgumentParser:
         cmd = sub.add_parser(name, help=brief)
         cmd.add_argument("--config", type=str, default=None, help="JSON config file")
         if "seed" in keys:
-            cmd.add_argument("--seed", type=int, default=42)
+            cmd.add_argument("--seed", type=int, default=argparse.SUPPRESS)
         if "samples" in keys:
-            cmd.add_argument("--samples", type=int, default=None)
+            cmd.add_argument("--samples", type=int, default=argparse.SUPPRESS)
         if name in _SWEEPS:
             cmd.add_argument("--out", type=str, default=None)
             cmd.add_argument("--format", choices=("csv", "json"), default="csv")
@@ -179,16 +179,15 @@ def _emit(result: SweepResult, out: Optional[str], fmt: str) -> None:
 
 
 def _run(args: argparse.Namespace) -> int:
-    kwargs = dict(vars(args))  # after the pops: --seed, where registered
-    _, runner, keys = _COMMANDS[kwargs.pop("command")]
-    config, samples = kwargs.pop("config"), kwargs.pop("samples", None)
-    out, fmt = kwargs.pop("out", None), kwargs.pop("format", None)
-    for key, value in _load_config(config).items():
+    flags = dict(vars(args))  # after the pops: the --seed and --samples given
+    _, runner, keys = _COMMANDS[flags.pop("command")]
+    config = _load_config(flags.pop("config"))
+    out, fmt = flags.pop("out", None), flags.pop("format", None)
+    kwargs = {}
+    for key, value in {**config, **flags}.items():  # a flag beats the file
         if key not in keys:
             raise ValueError(f"{key}: not a {args.command} config key; known: {', '.join(keys)}")
         kwargs[keys[key][0]] = _value(key, value, keys[key][1])
-    if samples is not None:
-        kwargs["samples"] = _value("samples", samples, "count")
     result = globals()[runner](**kwargs)
     if fmt is None:  # a command that prints its own report and exit code
         return result
@@ -240,7 +239,7 @@ def main(argv: Optional[list] = None) -> int:
     with _one_blas_thread():
         try:
             return _run(args)
-        except (ValueError, OSError, MemoryError, json.JSONDecodeError) as exc:
+        except (ValueError, OSError, MemoryError) as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 1
 

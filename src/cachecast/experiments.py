@@ -324,7 +324,7 @@ def run_fig3_4_5(
 
 
 def run_sweep(
-    seed: int,
+    seed: int = 42,
     samples: Optional[int] = None,
     scheme: str = "multicast",
     num_users: int = 100,

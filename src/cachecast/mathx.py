@@ -170,23 +170,25 @@ def maximize_1d(
     pathological objectives the best scanned point is returned.  A scanned
     end whose value ties the best wins, the first grid point before the
     last (lo + (grid_points - 1) * step), so a caller reads a boundary
-    optimum off the returned x without evaluating the ends again.
+    optimum off the returned x without evaluating the ends again.  A scan
+    whose every value is NaN raises ValueError.
     """
     if not lo < hi:
         raise ValueError(f"need lo < hi, got [{lo}, {hi}]")
     if grid_points < 3:
         raise ValueError(f"need grid_points >= 3, got {grid_points}")
     step = (hi - lo) / (grid_points - 1)
-    best_x, best_f = lo, -math.inf
+    i_best, best_x, best_f = None, lo, -math.inf
     values = []
     for i in range(grid_points):
         x = lo + i * step
         fx = f(x)
         values.append(fx)
-        if fx > best_f:
-            best_x, best_f = x, fx
+        if fx > best_f or (i_best is None and fx == best_f):  # -inf may win, NaN never
+            i_best, best_x, best_f = i, x, fx
+    if i_best is None:
+        raise ValueError(f"maximize_1d: every value of the grid scan on [{lo}, {hi}] is NaN")
 
-    i_best = values.index(best_f)
     a = lo + max(i_best - 1, 0) * step
     b = lo + min(i_best + 1, grid_points - 1) * step
 

@@ -142,14 +142,6 @@ def mixed_rates_mc(
     return MixedRates.compose(cfg, float(common.mean()), float(private.mean()))
 
 
-def _asymptotic_private(cfg: SystemConfig, split: PowerSplit) -> float:
-    if split.private_per_user == 0.0:
-        return 0.0
-    nt, K, s2 = cfg.num_tx_antennas, cfg.num_users, cfg.csit_error_var
-    gain = (nt - K + 1) * (1.0 - s2)
-    return math.log1p(gain / (1.0 / split.private_per_user + (K - 1) * s2))
-
-
 # the stream of mixed_rates_asymptotic's worst-user leakage sampler
 _LEAKAGE_STREAM = RngStream(0)
 
@@ -182,7 +174,8 @@ def mixed_rates_asymptotic(
         gen = _LEAKAGE_STREAM.generator()
         leak = gen.gamma(K - 1, scale=s2, size=(10_000, K)).max(axis=1)
         common = float(np.log1p(split.common_power / (1.0 + p * (gain + leak))).mean())
-    return MixedRates.compose(cfg, common, _asymptotic_private(cfg, split), flags=flags)
+    private = 0.0 if p == 0.0 else math.log1p(gain / (1.0 / p + (K - 1) * s2))
+    return MixedRates.compose(cfg, common, private, flags=flags)
 
 
 def optimal_split_numeric(

@@ -26,7 +26,6 @@ from .channel import (
     sample_batches,
     scalars_per_draw,
     squared_row_norms,
-    substacks,
 )
 from .results import RateEstimate
 
@@ -142,26 +141,19 @@ def zf_stats(
     that fails `validate_zf_config` raises before anything is drawn.
 
     The n draws are one batch: the estimators call this once per batch of
-    `channel.sample_batches`.  They come from `channel.channel_stacks`: at
-    0 < sigma2 < 1 all n estimates first, then the errors one sub-stack at
-    a time.  At sigma2 = 1 the n blind channels come first, then the
-    auxiliary matrix one sub-stack at a time.  The row norms, the beams, Gt
-    and the reductions run per sub-stack (`channel.substacks`, the rule
-    that also cuts the batches); every step is per draw, so the (n, K)
-    outputs equal the one-shot computation bit for bit while the working
-    set is the n estimates (at sigma2 = 1 the blind channels) plus one
-    sub-stack.
+    `channel.sample_batches`.  The channels come from `channel_stacks`; at
+    sigma2 = 1 an auxiliary isotropic matrix per sub-stack follows the
+    batch's channels.  The row norms, the beams, Gt and the reductions run
+    per sub-stack; every step is per draw, so the (n, K) outputs equal the
+    one-shot computation bit for bit.
     """
     validate_zf_config(cfg)
-    K, nt, s2 = cfg.num_users, cfg.num_tx_antennas, cfg.csit_error_var
-    if s2 == 1.0:  # the beams come from the auxiliary matrix, not the zero estimate
-        blind = _complex_normal(gen, (n, 1, K, nt), 1.0)
-        stacks = (
-            (r, blind[r], _complex_normal(gen, blind[r].shape, 1.0), blind[r])
-            for r in substacks(n, scalars_per_draw(cfg))
-        )
-    else:
-        stacks = channel_stacks(cfg, gen, n)
+    K, s2 = cfg.num_users, cfg.csit_error_var
+    stacks = channel_stacks(cfg, gen, n)
+    if s2 == 1.0:
+        # the beams come from an auxiliary matrix, not the zero estimate; list()
+        # runs as the expression is built, so every channel is drawn first
+        stacks = ((r, t, _complex_normal(gen, t.shape, 1.0), t) for r, t, _, _ in list(stacks))
     norm2, g2 = np.empty((n, K)), np.empty((n, K))
     inter = np.zeros((n, K))
     idx = np.arange(K)

@@ -193,12 +193,12 @@ def test_cli_rejects_flags_the_command_does_not_read(argv):
 def test_cli_flag_and_config_precedence(tmp_path, capsys):
     assert main(["split", "--seed", "7", "--samples", "4"]) == 0
     assert "P0_frac=" in capsys.readouterr().out
-    # a config seed overrides --seed; --samples overrides a config samples
+    # --seed and --samples both override the config's seed and samples
     path = tmp_path / "sweep.json"
     path.write_text(json.dumps({"K": 4, "nt": 1, "seed": 9, "samples": 50}))
     assert main(["sweep", "--config", str(path), "--seed", "3", "--samples", "20", "--format", "json"]) == 0
     rows = json.loads(capsys.readouterr().out)["rows"]
-    assert [(r["seed"], r["samples"]) for r in rows] == [(9, 20)]
+    assert [(r["seed"], r["samples"]) for r in rows] == [(3, 20)]
 
 
 def test_cli_looks_up_the_runner_when_the_command_runs(monkeypatch, capsys):
@@ -232,6 +232,9 @@ def test_cli_threshold_and_exit_codes(tmp_path, capsys):
     assert main(["threshold", "--config", str(bad)]) == 1
     missing = tmp_path / "nope.json"
     assert main(["threshold", "--config", str(missing)]) == 1
+    broken = tmp_path / "broken.json"
+    broken.write_text("{")
+    assert main(["threshold", "--config", str(broken)]) == 1
 
 
 @pytest.mark.parametrize("command, runner", [("split", "_split"), ("fig2", "run_fig2")])

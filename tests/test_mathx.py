@@ -142,6 +142,13 @@ def test_maximize_1d_returns_a_scanned_end_that_ties_the_best():
     assert maximize_1d(lambda t: 0.5, 0.0, 4.0, grid_points=5) == (0.0, 0.5)
 
 
+def test_maximize_1d_names_an_all_nan_scan():
+    with pytest.raises(ValueError, match=r"maximize_1d: .*grid scan on \[0\.0, 1\.0\] is NaN"):
+        maximize_1d(lambda x: math.nan, 0.0, 1.0, grid_points=5)
+    # a partly NaN scan still returns its best number
+    assert maximize_1d(lambda x: math.nan if x < 0.5 else -x, 0.0, 1.0, grid_points=5) == (0.5, -0.5)
+
+
 def test_maximize_1d_multimodal_picks_global():
     # two bumps, the right one is higher; the grid stage must find its basin
     f = lambda t: math.exp(-40 * (t - 0.2) ** 2) + 1.5 * math.exp(-40 * (t - 0.8) ** 2)

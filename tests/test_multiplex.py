@@ -5,11 +5,13 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from cachecast import channel
 from cachecast.channel import (
     RngStream,
     SystemConfig,
     _complex_normal,
     draw_channel_batch,
+    scalars_per_draw,
     substacks,
 )
 from cachecast.multiplex import (
@@ -128,6 +130,21 @@ def test_zf_stats_over_substacks_match_single_stack_formula(K, nt, n, s2):
         assert np.array_equal(a.view(np.uint64), b.view(np.uint64))
     # the auxiliary sigma2 = 1 draw leaves the stream where it was
     assert gen.standard_normal() == ref_gen.standard_normal()
+
+
+def test_zf_stats_blind_channels_come_from_the_draw_layer(monkeypatch):
+    # sigma2 = 1: one channel.draw_channel_batch call per sub-stack, covering the n rows
+    rows = []
+
+    def counting(scenario, gen, n):
+        rows.append(n)
+        return draw_channel_batch(scenario, gen, n)
+
+    monkeypatch.setattr(channel, "draw_channel_batch", counting)
+    scenario, n = cfg(8, 16, 80.0, s2=1.0), 1100
+    zf_stats(scenario, RngStream(47).generator(), n)
+    assert rows == [r.stop - r.start for r in substacks(n, scalars_per_draw(scenario))]
+    assert len(rows) >= 3 and sum(rows) == n
 
 
 def _zf_stats_peak(s2, K=100, n=30):
