@@ -14,7 +14,7 @@ import math
 
 import numpy as np
 
-from .channel import RngStream
+from .channel import RngStream, check_count, check_fraction
 from .results import RateEstimate
 
 __all__ = [
@@ -33,10 +33,8 @@ def transmissions(placement: str, m: float, num_users: int) -> float:
     (1 - m)(1 - (1 - m)^K) / m, with the m -> 0 limit K and the m -> 1
     limit 0 applied by continuity.
     """
-    if not 0.0 <= m <= 1.0:
-        raise ValueError("m must be in [0, 1]")
-    if num_users < 1:
-        raise ValueError("num_users must be >= 1")
+    check_fraction("m", m)
+    check_count("K", num_users)
     K = num_users
     if placement == "centralized":
         return (1.0 - m) / (1.0 / K + m)
@@ -61,8 +59,7 @@ def delivery_rate_multicast(load: float, multicast_rate: float, num_users: int) 
 
 def delivery_rate_unicast(m: float, symmetric_rate: float, num_users: int) -> float:
     """Equivalent content delivery rate K * rsym / (1 - m); +inf at m = 1."""
-    if not 0.0 <= m <= 1.0:
-        raise ValueError("m must be in [0, 1]")
+    check_fraction("m", m)
     if m == 1.0:
         return 0.0 if symmetric_rate == 0.0 else math.inf
     return num_users * symmetric_rate / (1.0 - m)
@@ -92,9 +89,8 @@ def selection_rate_samples(
     if threshold < 0.0:
         raise ValueError("threshold must be nonnegative")
     if not 0.0 < m < 1.0:
-        raise ValueError("selection requires 0 < m < 1")
-    if samples < 1:
-        raise ValueError("need at least one sample")
+        raise ValueError(f"m: selection requires 0 < m < 1, got {m!r}")
+    check_count("samples", samples)
     counts = rng.generator().binomial(num_users, above_prob, size=samples)
     log_term = math.log1p(threshold)
     lo = int(counts.min())

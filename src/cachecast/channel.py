@@ -19,6 +19,8 @@ from .results import RateEstimate
 
 __all__ = [
     "SystemConfig",
+    "check_count",
+    "check_fraction",
     "RngStream",
     "draw_channel_batch",
     "channel_stacks",
@@ -50,6 +52,22 @@ _DERIVE_MODULUS = 1_000_003
 _KEY_LIMIT = 1 << 64
 
 
+def check_count(key: str, value) -> None:
+    """The one count rule, keyed: an integer >= 1 that fits numpy's int64 shapes and binomials."""
+    if not value >= 1:
+        raise ValueError(f"{key}: expected an integer >= 1, got {value!r}")
+    if value >= 2**63:
+        raise ValueError(f"{key}: expected an integer below 2**63, got {value!r}")
+    if value != int(value):
+        raise ValueError(f"{key}: expected an integer, got {value!r}")
+
+
+def check_fraction(key: str, value) -> None:
+    """The one fraction rule, keyed: a value in [0, 1]."""
+    if not 0.0 <= value <= 1.0:
+        raise ValueError(f"{key}: expected a value in [0, 1], got {value!r}")
+
+
 @dataclass(frozen=True)
 class SystemConfig:
     """Scenario parameters; power is linear SNR with unit noise."""
@@ -64,15 +82,13 @@ class SystemConfig:
 
     def __post_init__(self) -> None:
         """Each message leads with the config key the CLI reads the field from."""
-        for key, count in (("K", self.num_users), ("nt", self.num_tx_antennas),
-                           ("L", self.num_subchannels)):
-            if count < 1:
-                raise ValueError(f"{key}: expected an integer >= 1, got {count!r}")
+        check_count("K", self.num_users)
+        check_count("nt", self.num_tx_antennas)
+        check_count("L", self.num_subchannels)
         if not 0.0 <= self.total_power < math.inf:
             raise ValueError(f"total_power must be finite and nonnegative, got {self.total_power}")
-        for key, fraction in (("m", self.normalized_cache), ("sigma2", self.csit_error_var)):
-            if not 0.0 <= fraction <= 1.0:
-                raise ValueError(f"{key}: expected a value in [0, 1], got {fraction!r}")
+        check_fraction("m", self.normalized_cache)
+        check_fraction("sigma2", self.csit_error_var)
         if self.placement not in PLACEMENTS:
             raise ValueError(f"placement: expected one of {PLACEMENTS}, got {self.placement!r}")
 
@@ -212,8 +228,7 @@ def sample_batches(
     estimator writes each batch into outputs it allocated once.  `samples`
     is checked on the call, before the caller allocates them.
     """
-    if samples < 1:
-        raise ValueError("samples must be >= 1")
+    check_count("samples", samples)
     gen = rng.generator()
     return ((gen, rows) for rows in substacks(samples, scalars_per_sample, _BATCH_TARGET))
 
@@ -232,9 +247,8 @@ def min_norm_statistic(
     cost of the very large (K, samples) grids without hurting a mean
     estimate at MC precision.
     """
-    if nt < 1 or num_users < 1:
-        raise ValueError("nt and num_users must be >= 1")
-
+    check_count("nt", nt)
+    check_count("K", num_users)
     batches = sample_batches(rng, samples, num_users * nt)
     mins = np.empty(samples)
     for gen, rows in batches:
@@ -254,9 +268,9 @@ def exact_min_mean(nt: int, num_users: int) -> float:
     c_i = (1/i) * sum_j ((K+1) j - i) / j! * c_{i-j}.  Exact rationals keep
     the alternating-sign cancellation lossless.
     """
+    check_count("nt", nt)
+    check_count("K", num_users)
     K = num_users
-    if nt < 1 or K < 1:
-        raise ValueError("nt and num_users must be >= 1")
     n_terms = K * (nt - 1)
     if n_terms > MAX_EXACT_MIN_TERMS:
         raise ValueError(

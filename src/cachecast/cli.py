@@ -18,7 +18,7 @@ import sys
 from typing import Optional
 
 from . import mixed, selection
-from .channel import RngStream
+from .channel import RngStream, check_count
 from .experiments import (
     FIG345_SAMPLES,
     FIG345_USERS,
@@ -142,9 +142,10 @@ def _load_config(path: Optional[str]) -> dict:
 def _value(key: str, value, kind: str):
     """A config value checked against its kind, as the command receives it.
 
-    Kinds: "int" (integral numbers become ints), "count" (an int >= 1),
-    "float", "str", and the non-empty lists "counts" and "floats".  Numbers
-    in a float list are passed as written, so the rows print them as before.
+    Kinds: "int" (integral numbers become ints), "count" (an int that
+    passes `channel.check_count`), "float", "str", and the non-empty lists
+    "counts" and "floats".  Numbers in a float list are passed as written,
+    so the rows print them as before.
     """
     if kind in ("counts", "floats"):
         if not isinstance(value, list):
@@ -163,8 +164,8 @@ def _value(key: str, value, kind: str):
     if kind in ("int", "count"):
         if value != int(value):
             raise ValueError(f"{key}: expected an integer, got {value!r}")
-        if kind == "count" and value < 1:
-            raise ValueError(f"{key}: expected an integer >= 1, got {value!r}")
+        if kind == "count":
+            check_count(key, value)
         return int(value)
     return float(value) if kind == "float" else value
 

@@ -18,6 +18,7 @@ from .caching import delivery_rate_multicast, delivery_rate_unicast, transmissio
 from .channel import RngStream, SystemConfig, sample_batches, scalars_per_draw
 from .mathx import DEFAULT_TOL, ToleranceSpec, maximize_1d
 from .multiplex import private_rate_values, validate_zf_config, zf_stats
+from .results import check_finite_rates
 
 __all__ = [
     "PowerSplit",
@@ -78,6 +79,7 @@ class MixedRates:
         private_rate: float,
         flags: Tuple[str, ...] = (),
     ) -> "MixedRates":
+        check_finite_rates((common_rate, private_rate))
         load = transmissions(cfg.placement, cfg.normalized_cache, cfg.num_users)
         total = delivery_rate_multicast(load, common_rate, cfg.num_users) + (
             delivery_rate_unicast(cfg.normalized_cache, private_rate, cfg.num_users)

@@ -66,8 +66,9 @@ def avg_rate_parallel(cfg: SystemConfig, rng: RngStream, samples: int) -> RateEs
 
 def avg_rate_quasistatic(cfg: SystemConfig, rng: RngStream, samples: int) -> RateEstimate:
     """MC mean of ln(1 + (P/nt) min_k ||H_k||^2); quasi-static (L = 1) only."""
-    if cfg.num_subchannels != 1:
-        raise ValueError("quasi-static estimator requires num_subchannels == 1")
+    L = cfg.num_subchannels
+    if L != 1:
+        raise ValueError(f"L: the quasi-static rate runs on one sub-channel (L = 1), got {L!r}")
     return avg_rate_parallel(cfg, rng, samples)
 
 

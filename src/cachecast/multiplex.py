@@ -197,19 +197,20 @@ def symmetric_rate_asymptotic(cfg: SystemConfig) -> AsymptoticSymmetricRate:
     Bounded effective gain x = (nt-K+1)(1-sigma2):  (1 + x)/(1/p + K - 1);
     growing gain: ln(1 + x/(1/p + (K-1) sigma2)).  The finite proxy x <> 1
     selects the case; nt = K is served with an extrapolation flag since the
-    derivation assumes strictly more antennas than users.  A config that
-    fails `validate_zf_config` raises.
+    derivation assumes strictly more antennas than users.  Zero power gives
+    rate 0.  A config that fails `validate_zf_config` raises.
     """
     validate_zf_config(cfg)
     nt, K, s2 = cfg.num_tx_antennas, cfg.num_users, cfg.csit_error_var
     p = cfg.total_power / K
     proxy = (nt - K + 1) * (1.0 - s2)
-    if proxy < 1.0:
+    regime = "bounded_gain" if proxy < 1.0 else "growing_gain"
+    if p == 0.0:
+        value = 0.0
+    elif proxy < 1.0:
         value = (1.0 + proxy) / (1.0 / p + K - 1.0)
-        regime = "bounded_gain"
     else:
         value = math.log1p(proxy / (1.0 / p + (K - 1) * s2))
-        regime = "growing_gain"
     return AsymptoticSymmetricRate(
         value=value, regime=regime, proxy=proxy, extrapolated=nt == K
     )

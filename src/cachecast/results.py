@@ -7,7 +7,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["RateEstimate"]
+__all__ = ["RateEstimate", "check_finite_rates"]
+
+
+def check_finite_rates(values) -> None:
+    """The one overflow rule: a rate that is not finite means its power overflowed a float."""
+    if not np.isfinite(values).all():
+        raise ValueError("P_dB: the power overflows a rate past the float range")
 
 
 @dataclass(frozen=True)
@@ -27,6 +33,7 @@ class RateEstimate:
         n = values.size
         if n == 0:
             raise ValueError("need at least one sample")
+        check_finite_rates(values)
         mean = float(values.mean())
         std_err = float(values.std(ddof=1) / math.sqrt(n)) if n > 1 else 0.0
         return cls(mean=mean, std_err=std_err)

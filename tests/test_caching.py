@@ -134,7 +134,8 @@ def test_selection_rate_samples_equal_the_per_sample_expression(
 
 def test_selection_rate_samples_needs_a_sample():
     for samples in (0, -3):
-        with pytest.raises(ValueError, match="need at least one sample"):
+        expected = rf"^samples: expected an integer >= 1, got {samples}$"
+        with pytest.raises(ValueError, match=expected):
             selection_rate_samples(0.1, 10, 0.5, 1.0, RngStream(0), samples)
     # the sampler checks the threshold itself, whatever tail its caller passed
     for threshold in (-1.0, -1e-300, -math.inf):

@@ -4,11 +4,14 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from cachecast.caching import delivery_rate_unicast, selection_rate_samples, transmissions
 from cachecast.channel import (
     RngStream,
     SystemConfig,
     _complex_normal,
     channel_stacks,
+    check_count,
+    check_fraction,
     draw_channel_batch,
     exact_min_mean,
     min_norm_statistic,
@@ -23,7 +26,7 @@ from cachecast.mixed import (
     mixed_rates_mc,
     optimal_split_numeric,
 )
-from cachecast.multicast import avg_rate_parallel, parallel_rate_bounds
+from cachecast.multicast import avg_rate_parallel, avg_rate_quasistatic, parallel_rate_bounds
 from cachecast.multiplex import symmetric_rate_asymptotic, symmetric_rate_mc, validate_zf_config
 
 
@@ -45,6 +48,9 @@ _OK = dict(num_users=2, num_tx_antennas=2, total_power=1.0)
         ("num_users", 0, "K"),
         ("num_tx_antennas", 0, "nt"),
         ("num_subchannels", 0, "L"),
+        ("num_users", 2**63, "K"),
+        ("num_tx_antennas", 2**63, "nt"),
+        ("num_subchannels", 2**63, "L"),
         ("normalized_cache", 1.5, "m"),
         ("csit_error_var", 2.0, "sigma2"),
         ("placement", "exotic", "placement"),
@@ -53,6 +59,49 @@ _OK = dict(num_users=2, num_tx_antennas=2, total_power=1.0)
 def test_config_errors_lead_with_the_cli_key(field, value, key):
     with pytest.raises(ValueError) as exc:
         SystemConfig(**{**_OK, field: value})
+    assert str(exc.value).startswith(f"{key}: ")
+
+
+def test_value_rules_name_their_key_and_bounds():
+    # 2**63 - 1 is the largest count numpy's shapes and binomial draws accept
+    for value in (1, 2**63 - 1):
+        check_count("n", value)
+    for value, rule in ((0, " >= 1"), (-2, " >= 1"), (math.nan, " >= 1"),
+                        (math.inf, " below 2**63"), (2**63, " below 2**63"), (2.5, "")):
+        with pytest.raises(ValueError) as exc:
+            check_count("n", value)
+        assert str(exc.value) == f"n: expected an integer{rule}, got {value!r}"
+    for value in (0.0, 0.5, 1.0):
+        check_fraction("x", value)
+    for value in (-1e-300, 1.5, math.nan):
+        with pytest.raises(ValueError) as exc:
+            check_fraction("x", value)
+        assert str(exc.value) == f"x: expected a value in [0, 1], got {value!r}"
+
+
+@pytest.mark.parametrize(
+    "call, key",
+    [
+        (lambda: transmissions("decentralized", 0.1, 0), "K"),
+        (lambda: transmissions("centralized", 1.5, 4), "m"),
+        (lambda: delivery_rate_unicast(-0.1, 1.0, 4), "m"),
+        (lambda: selection_rate_samples(0.1, 4, 0.5, 1.0, RngStream(0), 0), "samples"),
+        (lambda: selection_rate_samples(1.0, 4, 0.5, 1.0, RngStream(0), 10), "m"),
+        (lambda: sample_batches(RngStream(0), 2**63, 1), "samples"),
+        (lambda: min_norm_statistic(0, 2, RngStream(0), 10), "nt"),
+        (lambda: min_norm_statistic(2, 0, RngStream(0), 10), "K"),
+        (lambda: exact_min_mean(0, 2), "nt"),
+        (lambda: exact_min_mean(2, 0), "K"),
+        (lambda: avg_rate_quasistatic(SystemConfig(**_OK, num_subchannels=2), RngStream(0), 10),
+         "L"),
+    ],
+    ids=["transmissions-K", "transmissions-m", "unicast-m", "selection-samples", "selection-m",
+         "sample_batches", "min_norm-nt", "min_norm-K", "exact_min-nt", "exact_min-K",
+         "quasistatic-L"],
+)
+def test_library_entry_points_fail_by_key(call, key):
+    with pytest.raises(ValueError) as exc:
+        call()
     assert str(exc.value).startswith(f"{key}: ")
 
 
@@ -261,7 +310,7 @@ def test_estimators_check_samples_before_allocating(estimator, samples):
     # -1 would surface as numpy's "negative dimensions" error
     with pytest.raises(ValueError) as exc:
         estimator(samples)
-    assert str(exc.value) == "samples must be >= 1"
+    assert str(exc.value) == f"samples: expected an integer >= 1, got {samples}"
 
 
 def test_exact_min_mean_known_values():

@@ -368,6 +368,8 @@ def test_cli_check_passes(capsys):
         ("fig4", '{"P_dB": [-3.0]}', "P_dB"),
         ("fig5", '{"P_dB": [-3.0]}', "P_dB"),
         ("split", '{"P_dB": -3.0}', "P_dB"),
+        ("fig2", '{"K": [9223372036854775808]}', "K"),
+        ("sweep", '{"L": 9223372036854775808}', "L"),
     ],
 )
 def test_cli_rejects_bad_config_values(command, config, key, tmp_path, capsys, monkeypatch):
@@ -384,6 +386,24 @@ def test_cli_rejects_bad_config_values(command, config, key, tmp_path, capsys, m
 def test_cli_checks_the_samples_flag_as_a_config_value(command, samples, capsys):
     assert main([command, "--samples", samples]) == 1
     assert capsys.readouterr().err == f"error: samples: expected an integer >= 1, got {samples}\n"
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.parametrize(
+    "command, config",
+    [
+        ("sweep", {"scheme": "multicast", "K": 1, "nt": 1, "P_dB": [3080.0], "m": [0.1],
+                   "samples": 1000}),
+        ("split", {"K": 1, "P_dB": 3080.0, "m": 0.1, "samples": 50}),
+    ],
+)
+def test_a_rate_that_overflows_fails_by_its_power(command, config, tmp_path, capsys):
+    # 10^308 is a finite power, but the rates it gives are not: no inf or nan is printed
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    assert main([command, "--config", str(path)]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.splitlines()[-1].startswith("error: P_dB: ")
 
 
 @pytest.mark.parametrize("command", ["fig1", "fig2"])

@@ -29,6 +29,18 @@ def cfg(K=8, nt=16, P=8.0, m=0.2, s2=0.1):
     )
 
 
+def test_non_finite_rates_fail_by_their_power():
+    # a rate overflows only when its power does; the check comes before any mean or error bar
+    for values in ([1.0, math.inf], [math.nan, 2.0], [-math.inf]):
+        with pytest.raises(ValueError, match=r"^P_dB: "):
+            RateEstimate.from_values(np.array(values))
+    for common, private in ((math.inf, 1.0), (1.0, math.nan)):
+        with pytest.raises(ValueError, match=r"^P_dB: "):
+            MixedRates.compose(cfg(), common, private)
+    # a full cache's infinite total stays legal
+    assert MixedRates.compose(cfg(m=1.0), 1.0, 1.0).total == math.inf
+
+
 def test_power_split_constants():
     scenario = cfg(K=100, nt=100, P=1000.0, s2=0.1)
     split = PowerSplit.compute(scenario, 400.0)

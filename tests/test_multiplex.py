@@ -236,6 +236,14 @@ def test_asymptotic_cases():
     assert symmetric_rate_asymptotic(cfg(10, 10, 10.0)).extrapolated
 
 
+def test_asymptotic_rate_at_zero_power_is_zero():
+    # 1/p has no value at p = 0; mixed_rates_asymptotic gives the same config rate 0
+    scenario = SystemConfig(num_users=2, num_tx_antennas=4, total_power=0.0, csit_error_var=0.1)
+    rep = symmetric_rate_asymptotic(scenario)
+    assert rep.value == 0.0
+    assert (rep.regime, rep.proxy, rep.extrapolated) == ("growing_gain", 3 * (1.0 - 0.1), False)
+
+
 def test_exact_tracks_asymptotic():
     for K in (50, 100):
         for s2 in (0.0, 0.1, 0.5):
