@@ -207,13 +207,7 @@ def squared_row_norms(h: np.ndarray) -> np.ndarray:
 
 
 def scalars_per_draw(cfg: SystemConfig) -> int:
-    """Normal scalars one `channel_stacks` realization draws; fixes the batch partition.
-
-    `zf_stats` at sigma2 = 1 adds an auxiliary beam matrix of the same size
-    per sub-stack to these channels, so it draws twice this and its batches
-    hold about 2 * _BATCH_TARGET scalars; the partition is part of the
-    frozen stream.
-    """
+    """Normal scalars one `channel_stacks` realization draws; fixes the batch partition."""
     base = 2 * cfg.num_subchannels * cfg.num_users * cfg.num_tx_antennas
     return base if cfg.csit_error_var in (0.0, 1.0) else 2 * base
 

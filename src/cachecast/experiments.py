@@ -157,28 +157,32 @@ def _row(
 
 def _delivery_row(
     scheme: str, cfg: SystemConfig, p_db: float, rng: RngStream, samples: int,
-    p0_frac: float, link: RateEstimate, load: float,
+    p0_frac: float, link: Callable[..., RateEstimate], load: float,
 ) -> SweepRow:
-    """The row of a link rate scaled by K / load; a full cache (load 0) gives inf, std_err 0.0."""
+    """The row of link(cfg, rng, samples) scaled by K / load.
+
+    A full cache (load 0) gives inf with std_err 0.0 and runs no estimator,
+    so it draws nothing; `samples` is still checked.
+    """
+    channel.check_count("samples", samples)
     if load == 0.0:
         return _row(cfg, p_db, samples, rng.seed, scheme, p0_frac, math.inf)
-    rate = link.scaled(cfg.num_users / load)
+    rate = link(cfg, rng, samples).scaled(cfg.num_users / load)
     return _row(cfg, p_db, samples, rng.seed, scheme, p0_frac, rate.mean, rate.std_err)
 
 
 def _multicast_row(
     scheme: str, cfg: SystemConfig, p_db: float, rng: RngStream, samples: int
 ) -> SweepRow:
-    est = multicast.avg_rate_parallel(cfg, rng, samples)
     load = caching.transmissions(cfg.placement, cfg.normalized_cache, cfg.num_users)
-    return _delivery_row(scheme, cfg, p_db, rng, samples, 1.0, est, load)
+    return _delivery_row(scheme, cfg, p_db, rng, samples, 1.0, multicast.avg_rate_parallel, load)
 
 
 def _multiplex_row(
     scheme: str, cfg: SystemConfig, p_db: float, rng: RngStream, samples: int
 ) -> SweepRow:
-    est = multiplex.symmetric_rate_mc(cfg, rng, samples)
-    return _delivery_row(scheme, cfg, p_db, rng, samples, 0.0, est, 1.0 - cfg.normalized_cache)
+    return _delivery_row(scheme, cfg, p_db, rng, samples, 0.0, multiplex.symmetric_rate_mc,
+                         1.0 - cfg.normalized_cache)
 
 
 def _selection_grid(k_grid: Sequence[int], p_db_grid: Sequence[float], m: float) -> tuple:

@@ -15,10 +15,10 @@ from typing import Tuple
 import numpy as np
 
 from .caching import delivery_rate_multicast, delivery_rate_unicast, transmissions
-from .channel import RngStream, SystemConfig, sample_batches, scalars_per_draw
+from .channel import RngStream, SystemConfig, check_count
 from .mathx import DEFAULT_TOL, ToleranceSpec, maximize_1d
-from .multiplex import private_rate_values, validate_zf_config, zf_stats
-from .results import check_finite_rates
+from .multiplex import private_rate_values, validate_zf_config, zf_statistics
+from .results import check_finite_rates, rates_overflow_by_power
 
 __all__ = [
     "PowerSplit",
@@ -132,16 +132,21 @@ def _flow_values(
     return common, private_rate_values(g2, inter, p)
 
 
+def _mixed_rates(cfg: SystemConfig, split: PowerSplit, stats: tuple) -> MixedRates:
+    """The one reduction of both mixed estimators: the mean flow rates, composed.
+
+    `stats` is the (norm2, g2, inter) triple of `zf_statistics`.
+    """
+    with rates_overflow_by_power():
+        common, private = _flow_values(split, cfg.num_tx_antennas, *stats)
+    return MixedRates.compose(cfg, float(common.mean()), float(private.mean()))
+
+
 def mixed_rates_mc(
     cfg: SystemConfig, split: PowerSplit, rng: RngStream, samples: int
 ) -> MixedRates:
     """Exact MC of both flow rates under successive common-first decoding."""
-    batches = sample_batches(rng, samples, scalars_per_draw(cfg))
-    common, private = np.empty(samples), np.empty(samples)
-    for gen, rows in batches:
-        stats = zf_stats(cfg, gen, rows.stop - rows.start)
-        common[rows], private[rows] = _flow_values(split, cfg.num_tx_antennas, *stats)
-    return MixedRates.compose(cfg, float(common.mean()), float(private.mean()))
+    return _mixed_rates(cfg, split, zf_statistics(cfg, rng, samples))
 
 
 # the stream of mixed_rates_asymptotic's worst-user leakage sampler
@@ -187,25 +192,24 @@ def optimal_split_numeric(
 ) -> SplitOptimum:
     """Argmax of the aggregated MC delivery rate over P0 in [0, P].
 
-    One set of channel draws is shared by every candidate split (common
-    random numbers), so the sweep over P0 is smooth and rerunning with the
-    same stream reproduces the optimum exactly.  The optimum is at the
-    boundary when `maximize_1d` returns a scanned end, P0 = 0 or P.
+    One `zf_statistics` pass is shared by every candidate split (common
+    random numbers), and each split is reduced as `mixed_rates_mc` reduces
+    it, so the sweep over P0 is smooth, rerunning with the same stream
+    reproduces the optimum exactly, and the rate returned is the mixed MC
+    total at the optimum.  The optimum is at the boundary when
+    `maximize_1d` returns a scanned end, P0 = 0 or P.  A full cache
+    (m = 1) returns before anything is drawn.
     """
     validate_zf_config(cfg)
-    P, nt = cfg.total_power, cfg.num_tx_antennas
-    batches = sample_batches(rng, samples, scalars_per_draw(cfg))  # checks samples, also at m = 1
+    P = cfg.total_power
     if cfg.normalized_cache == 1.0:
-        # a full cache makes the common flow infinitely efficient
+        # a full cache makes the common flow infinitely efficient; nothing is drawn
+        check_count("samples", samples)
         return SplitOptimum(common_power=P, rate=math.inf, at_boundary=True)
-    norm2, g2, inter = (np.empty((samples, cfg.num_users)) for _ in range(3))
-    for gen, rows in batches:
-        norm2[rows], g2[rows], inter[rows] = zf_stats(cfg, gen, rows.stop - rows.start)
+    stats = zf_statistics(cfg, rng, samples)
 
     def total_rate(common_power: float) -> float:
-        split = PowerSplit.compute(cfg, common_power)
-        c, pv = _flow_values(split, nt, norm2, g2, inter)
-        return MixedRates.compose(cfg, float(c.mean()), float(pv.mean())).total
+        return _mixed_rates(cfg, PowerSplit.compute(cfg, common_power), stats).total
 
     # the last grid point is 32 * (P / 32) == P, so a tied end comes back exactly
     best_p0, best_rate = maximize_1d(total_rate, 0.0, P, tol=_SPLIT_TOL, grid_points=33)

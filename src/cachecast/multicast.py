@@ -26,7 +26,7 @@ from .channel import (
     scalars_per_draw,
     squared_row_norms,
 )
-from .results import RateEstimate
+from .results import RateEstimate, rates_overflow_by_power
 
 __all__ = [
     "AsymptoticRate",
@@ -55,12 +55,13 @@ def avg_rate_parallel(cfg: SystemConfig, rng: RngStream, samples: int) -> RateEs
     """MC mean of min_k (1/L) sum_l ln(1 + snr_{k,l}) over fresh draws."""
     batches = sample_batches(rng, samples, scalars_per_draw(cfg))
     values = np.empty(samples)
-    for gen, batch in batches:
-        out = values[batch]
-        for rows, true, _, _ in channel_stacks(cfg, gen, batch.stop - batch.start):
-            snr = squared_row_norms(true)  # (rows, L, K)
-            snr *= cfg.total_power / cfg.num_tx_antennas
-            out[rows] = np.log1p(snr, out=snr).mean(axis=1).min(axis=1)
+    with rates_overflow_by_power():
+        for gen, batch in batches:
+            out = values[batch]
+            for rows, true, _, _ in channel_stacks(cfg, gen, batch.stop - batch.start):
+                snr = squared_row_norms(true)  # (rows, L, K)
+                snr *= cfg.total_power / cfg.num_tx_antennas
+                out[rows] = np.log1p(snr, out=snr).mean(axis=1).min(axis=1)
     return RateEstimate.from_values(values)
 
 

@@ -27,7 +27,7 @@ from .channel import (
     scalars_per_draw,
     squared_row_norms,
 )
-from .results import RateEstimate
+from .results import RateEstimate, rates_overflow_by_power
 
 __all__ = [
     "ZfPrecoder",
@@ -35,6 +35,7 @@ __all__ = [
     "zf_beams",
     "validate_zf_config",
     "zf_stats",
+    "zf_statistics",
     "private_rate_values",
     "build_zf_precoder",
     "symmetric_rate_mc",
@@ -140,12 +141,12 @@ def zf_stats(
     function of (cfg, n), and the signal term is Gt_kk alone.  A config
     that fails `validate_zf_config` raises before anything is drawn.
 
-    The n draws are one batch: the estimators call this once per batch of
-    `channel.sample_batches`.  The channels come from `channel_stacks`; at
-    sigma2 = 1 an auxiliary isotropic matrix per sub-stack follows the
-    batch's channels.  The row norms, the beams, Gt and the reductions run
-    per sub-stack; every step is per draw, so the (n, K) outputs equal the
-    one-shot computation bit for bit.
+    The n draws are one batch: `zf_statistics` and `symmetric_rate_mc` call
+    this once per batch of `channel.sample_batches`.  The channels come
+    from `channel_stacks`; at sigma2 = 1 an auxiliary isotropic matrix per
+    sub-stack follows the batch's channels.  The row norms, the beams, Gt
+    and the reductions run per sub-stack; every step is per draw, so the
+    (n, K) outputs equal the one-shot computation bit for bit.
     """
     validate_zf_config(cfg)
     K, s2 = cfg.num_users, cfg.csit_error_var
@@ -171,6 +172,29 @@ def zf_stats(
     return norm2, g2, inter
 
 
+def zf_statistics(
+    cfg: SystemConfig, rng: RngStream, samples: int
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """`zf_stats` of `samples` draws on one generator of rng, each (samples, K).
+
+    The one zero-forcing statistics pass that the mixed estimators reduce.
+    The config and `samples` are checked before anything is allocated; the
+    batches of `channel.sample_batches` then fill the three arrays in draw
+    order.  The batch partition is `scalars_per_draw(cfg)`'s: at sigma2 = 1
+    `zf_stats` adds an auxiliary beam matrix of the same size per sub-stack,
+    so it draws twice that and its batches hold about twice the batch
+    target; the partition is part of the frozen stream.
+    `symmetric_rate_mc` streams its batches instead, so a large multiplex
+    sweep does not hold three (samples, K) arrays.
+    """
+    validate_zf_config(cfg)
+    batches = sample_batches(rng, samples, scalars_per_draw(cfg))
+    norm2, g2, inter = (np.empty((samples, cfg.num_users)) for _ in range(3))
+    for gen, rows in batches:
+        norm2[rows], g2[rows], inter[rows] = zf_stats(cfg, gen, rows.stop - rows.start)
+    return norm2, g2, inter
+
+
 def private_rate_values(g2: np.ndarray, inter: np.ndarray, p: float) -> np.ndarray:
     """Per-draw user-averaged ln(1 + SINR_k) at private power p per user."""
     return np.log1p(g2 * p / (1.0 + inter * p)).mean(axis=1)
@@ -187,7 +211,8 @@ def symmetric_rate_mc(cfg: SystemConfig, rng: RngStream, samples: int) -> RateEs
     values = np.empty(samples)
     for gen, rows in batches:
         _, g2, inter = zf_stats(cfg, gen, rows.stop - rows.start)
-        values[rows] = private_rate_values(g2, inter, p)
+        with rates_overflow_by_power():
+            values[rows] = private_rate_values(g2, inter, p)
     return RateEstimate.from_values(values)
 
 

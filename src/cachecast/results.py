@@ -2,18 +2,37 @@
 
 from __future__ import annotations
 
+import contextlib
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["RateEstimate", "check_finite_rates"]
+__all__ = ["RateEstimate", "check_finite_rates", "rates_overflow_by_power"]
+
+_OVERFLOW = "P_dB: the power overflows a rate past the float range"
 
 
 def check_finite_rates(values) -> None:
     """The one overflow rule: a rate that is not finite means its power overflowed a float."""
     if not np.isfinite(values).all():
-        raise ValueError("P_dB: the power overflows a rate past the float range")
+        raise ValueError(_OVERFLOW)
+
+
+@contextlib.contextmanager
+def rates_overflow_by_power():
+    """Rate arithmetic inside fails by the overflow rule at its first float overflow.
+
+    numpy would warn and carry an inf on, which a later min over users can
+    hide; this raises instead, with no warning.  numpy's error state belongs
+    to the running context, and a pool worker starts in a fresh one, so
+    each estimator enters this in the thread that computes its rates.
+    """
+    try:
+        with np.errstate(over="raise"):
+            yield
+    except FloatingPointError:
+        raise ValueError(_OVERFLOW) from None
 
 
 @dataclass(frozen=True)

@@ -388,22 +388,27 @@ def test_cli_checks_the_samples_flag_as_a_config_value(command, samples, capsys)
     assert capsys.readouterr().err == f"error: samples: expected an integer >= 1, got {samples}\n"
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
 @pytest.mark.parametrize(
     "command, config",
     [
         ("sweep", {"scheme": "multicast", "K": 1, "nt": 1, "P_dB": [3080.0], "m": [0.1],
                    "samples": 1000}),
         ("split", {"K": 1, "P_dB": 3080.0, "m": 0.1, "samples": 50}),
+        ("sweep", {"scheme": "multiplex", "K": 1, "nt": 1, "P_dB": [3080.0], "m": [0.1],
+                   "samples": 10}),
+        # an overflowed sub-channel used to leave a finite but wrong worst-user rate
+        ("sweep", {"scheme": "multicast", "K": 2, "nt": 2, "L": 3, "P_dB": [3080.0],
+                   "m": [0.1], "samples": 10}),
     ],
 )
 def test_a_rate_that_overflows_fails_by_its_power(command, config, tmp_path, capsys):
-    # 10^308 is a finite power, but the rates it gives are not: no inf or nan is printed
+    # 10^308 is a finite power, but the rates it gives are not: no inf or nan is
+    # printed, and numpy's overflow warning is not printed either (Tier-1 turns
+    # any RuntimeWarning into an error, in the pool's threads too)
     path = tmp_path / "config.json"
     path.write_text(json.dumps(config))
     assert main([command, "--config", str(path)]) == 1
-    out, err = capsys.readouterr()
-    assert out == "" and err.splitlines()[-1].startswith("error: P_dB: ")
+    assert capsys.readouterr() == ("", "error: P_dB: the power overflows a rate past the float range\n")
 
 
 @pytest.mark.parametrize("command", ["fig1", "fig2"])
@@ -475,6 +480,28 @@ def test_a_full_cache_prints_an_infinite_rate(command, config, tmp_path, capsys)
         assert rows and all((r["mean_nats"], r["std_err"]) == cells for r in rows)
         if command == "fig3":
             assert [r["scheme"] for r in rows] == ["mixed_opt", "multicast", "multiplex"]
+
+
+def test_a_full_cache_draws_nothing(monkeypatch, tmp_path, capsys):
+    # load 0 is decided before any estimator runs, so no generator is made, and
+    # the rows are those the estimators' runs used to be discarded for
+    monkeypatch.setattr(RngStream, "generator", lambda self: pytest.fail("a generator was made"))
+    # so a power that would overflow a rate prints inf at m = 1, as split does
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"scheme": "multicast", "K": 1, "nt": 1, "P_dB": [3080.0],
+                                "m": [1.0], "samples": 10}))
+    assert main(["sweep", "--config", str(path)]) == 0
+    assert capsys.readouterr().out.splitlines()[2] == "multicast,1,1,1,3080.0,1.0,0.0,1.0,inf,0.0,10,42,"
+    rows = run_fig3_4_5(m_grid=(1.0,), samples=4).rows
+    fixed = dict(K=100, nt=100, L=1, m=1.0, mean_nats=math.inf, std_err=0.0, samples=4, seed=42)
+    assert rows == tuple(
+        SweepRow(scheme=scheme, P_dB=p_db, sigma2=s2, P0_frac=frac, flags=flags, **fixed)
+        for scheme, frac, flags in (("mixed_opt", 1.0, "boundary;all_common;mc_preferred"),
+                                    ("multicast", 1.0, ""), ("multiplex", 0.0, ""))
+        for p_db, s2 in ((10.0, 0.1), (20.0, 0.01))
+    )
+    with pytest.raises(ValueError, match=r"^samples: expected an integer >= 1, got 0$"):
+        run_sweep(samples=0, m_grid=(1.0,))
 
 
 def test_fig2_rejects_a_power_too_low_for_its_search_before_any_draw(tmp_path, capsys, monkeypatch):

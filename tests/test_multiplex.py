@@ -11,6 +11,7 @@ from cachecast.channel import (
     SystemConfig,
     _complex_normal,
     draw_channel_batch,
+    sample_batches,
     scalars_per_draw,
     substacks,
 )
@@ -19,6 +20,7 @@ from cachecast.multiplex import (
     symmetric_rate_asymptotic,
     symmetric_rate_mc,
     zf_beams,
+    zf_statistics,
     zf_stats,
 )
 
@@ -145,6 +147,38 @@ def test_zf_stats_blind_channels_come_from_the_draw_layer(monkeypatch):
     zf_stats(scenario, RngStream(47).generator(), n)
     assert rows == [r.stop - r.start for r in substacks(n, scalars_per_draw(scenario))]
     assert len(rows) >= 3 and sum(rows) == n
+
+
+@pytest.mark.parametrize("s2", [0.0, 0.3, 1.0])
+def test_zf_statistics_are_the_batches_of_zf_stats_in_draw_order(s2, monkeypatch):
+    # a batch target of 7 draws cuts 23 samples into 7, 7, 7 and a short 2
+    scenario, stream, samples = cfg(3, 5, 30.0, s2=s2), RngStream(48), 23
+    monkeypatch.setattr(channel, "_BATCH_TARGET", 7 * scalars_per_draw(scenario))
+    counts = [r.stop - r.start for _, r in sample_batches(stream, samples, scalars_per_draw(scenario))]
+    assert counts == [7, 7, 7, 2]
+    gen = stream.generator()
+    ref = [np.concatenate(parts) for parts in zip(*(zf_stats(scenario, gen, n) for n in counts))]
+    out = zf_statistics(scenario, stream, samples)
+    assert len(out) == 3
+    for a, b in zip(out, ref):
+        assert a.shape == (samples, 3) and np.array_equal(a, b)
+
+
+@pytest.mark.parametrize(
+    "scenario, samples, message",
+    [
+        (SystemConfig(num_users=2, num_tx_antennas=3, total_power=4.0, num_subchannels=2), 10,
+         "L: zero forcing runs on the quasi-static channel (L = 1), got 2"),
+        (cfg(2, 3, 4.0), 0, "samples: expected an integer >= 1, got 0"),
+        (cfg(2, 3, 4.0), -1, "samples: expected an integer >= 1, got -1"),
+    ],
+)
+def test_zf_statistics_checks_before_any_generator(scenario, samples, message, monkeypatch):
+    # -1 would otherwise surface as numpy's "negative dimensions" error
+    monkeypatch.setattr(RngStream, "generator", lambda self: pytest.fail("a generator was made"))
+    with pytest.raises(ValueError) as exc:
+        zf_statistics(scenario, RngStream(49), samples)
+    assert str(exc.value) == message
 
 
 def _zf_stats_peak(s2, K=100, n=30):
