@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Iterator, Tuple
 
 import numpy as np
@@ -262,6 +261,7 @@ def exact_min_mean(nt: int, num_users: int) -> float:
     c_i = (1/i) * sum_j ((K+1) j - i) / j! * c_{i-j}.  Exact rationals keep
     the alternating-sign cancellation lossless.
     """
+    from fractions import Fraction  # loaded on use, with decimal: of the commands only `check` runs this
     check_count("nt", nt)
     check_count("K", num_users)
     K = num_users

@@ -84,9 +84,8 @@ def lambert_w(x: float) -> float:
 
 
 def _lower_gamma_series(shape: float, x: float) -> float:
-    # series for P(a, x), valid and fast for x < a + 1
-    term = 1.0 / shape
-    total = term
+    # series for P(a, x) / prefactor, valid and fast for x < a + 1
+    term = total = 1.0 / shape
     a = shape
     for _ in range(DEFAULT_TOL.max_iter * 10):
         a += 1.0
@@ -96,12 +95,11 @@ def _lower_gamma_series(shape: float, x: float) -> float:
             break
     else:
         raise ValueError(f"_lower_gamma_series did not converge at (shape, x) = ({shape!r}, {x!r})")
-    log_prefactor = shape * math.log(x) - x - math.lgamma(shape)
-    return total * math.exp(log_prefactor)
+    return total
 
 
 def _upper_gamma_cf(shape: float, x: float) -> float:
-    # Lentz continued fraction for Q(a, x), valid for x >= a + 1
+    # Lentz continued fraction for Q(a, x) / prefactor, valid for x >= a + 1
     tiny = 1e-300
     b = x + 1.0 - shape
     c = 1.0 / tiny
@@ -123,15 +121,14 @@ def _upper_gamma_cf(shape: float, x: float) -> float:
             break
     else:
         raise ValueError(f"_upper_gamma_cf did not converge at (shape, x) = ({shape!r}, {x!r})")
-    log_prefactor = shape * math.log(x) - x - math.lgamma(shape)
-    return h * math.exp(log_prefactor)
+    return h
 
 
 def _reg_gamma(shape: float, x: float) -> Tuple[float, float]:
     """(P, Q) for P(shape, x), Q = 1 - P, each clamped to [0, 1].
 
-    The series serves x < shape + 1 and the continued fraction the rest;
-    the other function is one minus the computed one.
+    The series serves x < shape + 1 and the continued fraction the rest, each
+    times x^shape e^-x / Gamma(shape); the other is one minus the computed one.
     """
     if shape <= 0.0:
         raise ValueError(f"shape must be positive, got {shape}")
@@ -139,10 +136,11 @@ def _reg_gamma(shape: float, x: float) -> Tuple[float, float]:
         raise ValueError(f"x must be nonnegative, got {x}")
     if x == 0.0:
         return 0.0, 1.0
+    prefactor = math.exp(shape * math.log(x) - x - math.lgamma(shape))
     if x < shape + 1.0:
-        p = _lower_gamma_series(shape, x)
+        p = _lower_gamma_series(shape, x) * prefactor
         return min(p, 1.0), max(1.0 - p, 0.0)
-    q = _upper_gamma_cf(shape, x)
+    q = _upper_gamma_cf(shape, x) * prefactor
     return max(1.0 - q, 0.0), min(q, 1.0)
 
 

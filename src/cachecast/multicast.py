@@ -83,14 +83,15 @@ def parallel_rate_bounds(
     """
     batches = sample_batches(rng, samples, scalars_per_draw(cfg))
     lower, upper = np.empty(samples), np.empty(samples)
-    for gen, batch in batches:
-        low, up = lower[batch], upper[batch]
-        for rows, true, _, _ in channel_stacks(cfg, gen, batch.stop - batch.start):
-            # per-antenna SNR terms P * |h_{j,k,l}|^2, flattened over (l, j)
-            per_antenna = cfg.total_power * (true.real**2 + true.imag**2)  # (rows, L, K, nt)
-            avg_snr = per_antenna.mean(axis=(1, 3))  # (rows, K)
-            low[rows] = np.log1p(per_antenna).mean(axis=(1, 3)).min(axis=1)
-            up[rows] = np.log1p(avg_snr.min(axis=1))
+    with rates_overflow_by_power():
+        for gen, batch in batches:
+            low, up = lower[batch], upper[batch]
+            for rows, true, _, _ in channel_stacks(cfg, gen, batch.stop - batch.start):
+                # per-antenna SNR terms P * |h_{j,k,l}|^2, flattened over (l, j)
+                per_antenna = cfg.total_power * (true.real**2 + true.imag**2)  # (rows, L, K, nt)
+                avg_snr = per_antenna.mean(axis=(1, 3))  # (rows, K)
+                low[rows] = np.log1p(per_antenna).mean(axis=(1, 3)).min(axis=1)
+                up[rows] = np.log1p(avg_snr.min(axis=1))
     return RateEstimate.from_values(lower), RateEstimate.from_values(upper)
 
 

@@ -141,9 +141,8 @@ def zf_stats(
     function of (cfg, n), and the signal term is Gt_kk alone.  A config
     that fails `validate_zf_config` raises before anything is drawn.
 
-    The n draws are one batch: `zf_statistics` and `symmetric_rate_mc` call
-    this once per batch of `channel.sample_batches`.  The channels come
-    from `channel_stacks`; at sigma2 = 1 an auxiliary isotropic matrix per
+    The n draws are one batch of `_zf_batches`.  The channels come from
+    `channel_stacks`; at sigma2 = 1 an auxiliary isotropic matrix per
     sub-stack follows the batch's channels.  The row norms, the beams, Gt
     and the reductions run per sub-stack; every step is per draw, so the
     (n, K) outputs equal the one-shot computation bit for bit.
@@ -172,26 +171,29 @@ def zf_stats(
     return norm2, g2, inter
 
 
+def _zf_batches(cfg: SystemConfig, rng: RngStream, samples: int):
+    """(rows, `zf_stats` of those rows) per `sample_batches` batch: the one checked ZF walk.
+
+    The config and `samples` are checked on the call, before an output is
+    allocated.  The partition, part of the frozen stream, counts
+    `scalars_per_draw(cfg)` per draw; at sigma2 = 1 `zf_stats` draws twice that.
+    """
+    validate_zf_config(cfg)
+    batches = sample_batches(rng, samples, scalars_per_draw(cfg))
+    return ((rows, zf_stats(cfg, gen, rows.stop - rows.start)) for gen, rows in batches)
+
+
 def zf_statistics(
     cfg: SystemConfig, rng: RngStream, samples: int
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """`zf_stats` of `samples` draws on one generator of rng, each (samples, K).
 
-    The one zero-forcing statistics pass that the mixed estimators reduce.
-    The config and `samples` are checked before anything is allocated; the
-    batches of `channel.sample_batches` then fill the three arrays in draw
-    order.  The batch partition is `scalars_per_draw(cfg)`'s: at sigma2 = 1
-    `zf_stats` adds an auxiliary beam matrix of the same size per sub-stack,
-    so it draws twice that and its batches hold about twice the batch
-    target; the partition is part of the frozen stream.
-    `symmetric_rate_mc` streams its batches instead, so a large multiplex
-    sweep does not hold three (samples, K) arrays.
+    The mixed estimators' one pass; `symmetric_rate_mc` streams `_zf_batches` instead.
     """
-    validate_zf_config(cfg)
-    batches = sample_batches(rng, samples, scalars_per_draw(cfg))
+    batches = _zf_batches(cfg, rng, samples)
     norm2, g2, inter = (np.empty((samples, cfg.num_users)) for _ in range(3))
-    for gen, rows in batches:
-        norm2[rows], g2[rows], inter[rows] = zf_stats(cfg, gen, rows.stop - rows.start)
+    for rows, stats in batches:
+        norm2[rows], g2[rows], inter[rows] = stats
     return norm2, g2, inter
 
 
@@ -207,10 +209,9 @@ def symmetric_rate_mc(cfg: SystemConfig, rng: RngStream, samples: int) -> RateEs
     the true channel; the rate is averaged over users and draws.
     """
     p = cfg.total_power / cfg.num_users
-    batches = sample_batches(rng, samples, scalars_per_draw(cfg))
+    batches = _zf_batches(cfg, rng, samples)
     values = np.empty(samples)
-    for gen, rows in batches:
-        _, g2, inter = zf_stats(cfg, gen, rows.stop - rows.start)
+    for rows, (_, g2, inter) in batches:
         with rates_overflow_by_power():
             values[rows] = private_rate_values(g2, inter, p)
     return RateEstimate.from_values(values)

@@ -77,6 +77,8 @@ def test_delivery_rate_selection_basics():
             delivery_rate_selection(0.05, threshold, 1000.0, 200, RngStream(3), 100)
     with pytest.raises(ValueError):
         delivery_rate_selection(0.0, 1.0, 1000.0, 200, RngStream(3), 100)
+    with pytest.raises(ValueError, match=r"^total_power must be positive$"):
+        delivery_rate_selection(0.05, 1.0, 0.0, 200, RngStream(3), 100)
 
 
 def test_selection_rate_concentrates_for_large_k():

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -27,7 +28,12 @@ from cachecast.mixed import (
     optimal_split_numeric,
 )
 from cachecast.multicast import avg_rate_parallel, avg_rate_quasistatic, parallel_rate_bounds
-from cachecast.multiplex import symmetric_rate_asymptotic, symmetric_rate_mc, validate_zf_config
+from cachecast.multiplex import (
+    symmetric_rate_asymptotic,
+    symmetric_rate_mc,
+    validate_zf_config,
+    zf_statistics,
+)
 
 
 def test_config_validation():
@@ -111,8 +117,11 @@ def test_library_entry_points_fail_by_key(call, key):
         validate_zf_config,
         symmetric_rate_asymptotic,
         lambda c: mixed_rates_asymptotic(c, PowerSplit.compute(c, 0.0)),
+        # the config is checked before the (2**62,) outputs would be allocated
+        lambda c: symmetric_rate_mc(c, RngStream(0), 2**62),
+        lambda c: zf_statistics(c, RngStream(0), 2**62),
     ],
-    ids=["validate", "symmetric_asymptotic", "mixed_asymptotic"],
+    ids=["validate", "symmetric_asymptotic", "mixed_asymptotic", "symmetric_mc", "zf_statistics"],
 )
 @pytest.mark.parametrize(
     "overrides, key",
@@ -311,6 +320,35 @@ def test_estimators_check_samples_before_allocating(estimator, samples):
     with pytest.raises(ValueError) as exc:
         estimator(samples)
     assert str(exc.value) == f"samples: expected an integer >= 1, got {samples}"
+
+
+# 10^308 is a finite power, but P |h|^2 and P/K |g|^2 overflow a float on these draws
+_OVERFLOW_CFG = SystemConfig(
+    num_users=2, num_tx_antennas=3, total_power=1e308, normalized_cache=0.2, csit_error_var=0.1
+)
+
+
+@pytest.mark.parametrize(
+    "estimator",
+    [
+        lambda: avg_rate_parallel(_OVERFLOW_CFG, RngStream(1), 64),
+        lambda: parallel_rate_bounds(_OVERFLOW_CFG, RngStream(1), 64),
+        lambda: symmetric_rate_mc(_OVERFLOW_CFG, RngStream(1), 64),
+        lambda: mixed_rates_mc(
+            _OVERFLOW_CFG, PowerSplit.compute(_OVERFLOW_CFG, 1e308), RngStream(1), 64
+        ),
+        lambda: optimal_split_numeric(_OVERFLOW_CFG, RngStream(1), 64),
+    ],
+    ids=["parallel", "bounds", "symmetric", "mixed", "split"],
+)
+def test_estimators_fail_by_the_power_at_the_first_overflow(estimator):
+    # every estimator computes its rates under results.rates_overflow_by_power:
+    # no numpy warning, and no inf carried on into a min over users
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError) as exc:
+            estimator()
+    assert str(exc.value) == "P_dB: the power overflows a rate past the float range"
 
 
 def test_exact_min_mean_known_values():

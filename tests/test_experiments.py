@@ -370,6 +370,7 @@ def test_cli_check_passes(capsys):
         ("split", '{"P_dB": -3.0}', "P_dB"),
         ("fig2", '{"K": [9223372036854775808]}', "K"),
         ("sweep", '{"L": 9223372036854775808}', "L"),
+        ("sweep", '{"scheme": 5}', "scheme"),
     ],
 )
 def test_cli_rejects_bad_config_values(command, config, key, tmp_path, capsys, monkeypatch):

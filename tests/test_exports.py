@@ -21,12 +21,13 @@ def test_every_exported_name_resolves(module):
 
 def test_importing_the_cli_loads_no_scipy():
     # every command's start-up pays for its imports, and scipy (about 0.27 s
-    # to import) is a test dependency only: no cachecast module may load it
+    # to import) is a test dependency only: no cachecast module may load it.
+    # fractions (with decimal, about 2 ms) is loaded only when `check` needs it
     src = str(Path(cachecast.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
     code = (
         f"import importlib, sys; [importlib.import_module(m) for m in {MODULES!r}]; "
-        "print([m for m in sys.modules if m.split('.')[0] == 'scipy'])"
+        "print([m for m in sys.modules if m.split('.')[0] in ('scipy', 'fractions', 'decimal')])"
     )
     out = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60, check=True

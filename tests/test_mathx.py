@@ -93,6 +93,17 @@ def test_regularized_gammas_raise_at_their_iteration_cap(fn, shape, x, routine):
     assert str(exc.value) == f"{routine} did not converge at (shape, x) = ({shape!r}, {x!r})"
 
 
+@pytest.mark.parametrize(
+    "shape, x, message",
+    [(0.0, 1.0, "shape must be positive, got 0.0"), (1.0, -1.0, "x must be nonnegative, got -1.0")],
+)
+def test_regularized_gammas_reject_a_bad_shape_or_x(shape, x, message):
+    for fn in (reg_lower_gamma, reg_upper_gamma):
+        with pytest.raises(ValueError) as exc:
+            fn(shape, x)
+        assert str(exc.value) == message
+
+
 def _reached_special_function_calls():
     # what `check`, fig1/fig2 and the acceptance criteria pass: integer shapes
     # 1-64 around the series/continued-fraction switch (with check's 0.1586 nt),
@@ -161,4 +172,12 @@ def test_maximize_1d_rejects_a_grid_below_three_points(grid_points):
     calls = []
     with pytest.raises(ValueError, match=f"need grid_points >= 3, got {grid_points}"):
         maximize_1d(lambda x: calls.append(x) or 0.0, 0.0, 1.0, grid_points=grid_points)
+    assert calls == []
+
+
+@pytest.mark.parametrize("lo, hi", [(1.0, 1.0), (2.0, 1.0)])
+def test_maximize_1d_rejects_an_empty_bracket(lo, hi):
+    calls = []
+    with pytest.raises(ValueError, match=rf"^need lo < hi, got \[{lo}, {hi}\]$"):
+        maximize_1d(lambda x: calls.append(x) or 0.0, lo, hi)
     assert calls == []

@@ -34,6 +34,8 @@ def test_non_finite_rates_fail_by_their_power():
     for values in ([1.0, math.inf], [math.nan, 2.0], [-math.inf]):
         with pytest.raises(ValueError, match=r"^P_dB: "):
             RateEstimate.from_values(np.array(values))
+    with pytest.raises(ValueError, match=r"^need at least one sample$"):
+        RateEstimate.from_values(np.array([]))
     for common, private in ((math.inf, 1.0), (1.0, math.nan)):
         with pytest.raises(ValueError, match=r"^P_dB: "):
             MixedRates.compose(cfg(), common, private)
@@ -237,6 +239,9 @@ def test_closed_form_guards():
     blind = cfg(K=100, nt=100, s2=1.0)
     with pytest.raises(ValueError):
         optimal_split_closed_form(blind)
+    # a full cache sends no multicast load: numerator and denominator both vanish
+    with pytest.raises(ValueError, match=r"^degenerate split denominator"):
+        optimal_split_closed_form(cfg(m=1.0))
 
 
 def test_closed_form_clamp_all_common():

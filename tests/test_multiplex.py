@@ -58,6 +58,8 @@ def test_rank_deficiency_raises():
         build_zf_precoder(h)
     with pytest.raises(ValueError):
         build_zf_precoder(np.ones((3, 2), dtype=complex))  # more users than antennas
+    with pytest.raises(ValueError, match=r"^estimated channel must be a \(K, nt\) matrix$"):
+        build_zf_precoder(np.ones(3))
 
 
 @pytest.mark.parametrize("shape", [(40, 8, 8), (4, 100, 100), (40, 8, 16), (10, 32, 64)])
