@@ -14,7 +14,7 @@ import math
 
 import numpy as np
 
-from .channel import RngStream, check_count, check_fraction
+from .channel import RngStream, _check_placement, check_count, check_fraction
 from .results import RateEstimate
 
 __all__ = [
@@ -35,17 +35,16 @@ def transmissions(placement: str, m: float, num_users: int) -> float:
     """
     check_fraction("m", m)
     check_count("K", num_users)
+    _check_placement(placement)
     K = num_users
     if placement == "centralized":
         return (1.0 - m) / (1.0 / K + m)
-    if placement == "decentralized":
-        if m == 0.0:
-            return float(K)
-        if m == 1.0:
-            return 0.0
-        # -expm1(K log1p(-m)) = 1 - (1-m)^K without cancellation at small m
-        return (1.0 - m) * -math.expm1(K * math.log1p(-m)) / m
-    raise ValueError(f"unknown placement {placement!r}")
+    if m == 0.0:
+        return float(K)
+    if m == 1.0:
+        return 0.0
+    # -expm1(K log1p(-m)) = 1 - (1-m)^K without cancellation at small m
+    return (1.0 - m) * -math.expm1(K * math.log1p(-m)) / m
 
 
 def delivery_rate_multicast(load: float, multicast_rate: float, num_users: int) -> float:

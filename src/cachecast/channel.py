@@ -51,13 +51,14 @@ _DERIVE_MODULUS = 1_000_003
 _KEY_LIMIT = 1 << 64
 
 
-def check_count(key: str, value) -> None:
-    """The one count rule, keyed: an integer >= 1 that fits numpy's int64 shapes and binomials."""
-    if not value >= 1:
-        raise ValueError(f"{key}: expected an integer >= 1, got {value!r}")
-    if value >= 2**63:
-        raise ValueError(f"{key}: expected an integer below 2**63, got {value!r}")
-    if value != int(value):
+def check_count(key: str, value, lo: int = 1, hi: int = 2**63) -> None:
+    """The one integer rule, keyed: an int or numpy integer, not a bool, in [lo, hi); a count by default."""
+    if not value >= lo:
+        raise ValueError(f"{key}: expected an integer >= {lo}, got {value!r}")
+    if not value < hi:
+        bound = f"2**{hi.bit_length() - 1}" if hi & (hi - 1) == 0 else hi
+        raise ValueError(f"{key}: expected an integer below {bound}, got {value!r}")
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
         raise ValueError(f"{key}: expected an integer, got {value!r}")
 
 
@@ -65,6 +66,11 @@ def check_fraction(key: str, value) -> None:
     """The one fraction rule, keyed: a value in [0, 1]."""
     if not 0.0 <= value <= 1.0:
         raise ValueError(f"{key}: expected a value in [0, 1], got {value!r}")
+
+
+def _check_placement(placement) -> None:
+    if placement not in PLACEMENTS:
+        raise ValueError(f"placement: expected one of {PLACEMENTS}, got {placement!r}")
 
 
 @dataclass(frozen=True)
@@ -85,18 +91,18 @@ class SystemConfig:
         check_count("nt", self.num_tx_antennas)
         check_count("L", self.num_subchannels)
         if not 0.0 <= self.total_power < math.inf:
-            raise ValueError(f"total_power must be finite and nonnegative, got {self.total_power}")
+            raise ValueError(f"P_dB: total_power must be finite and nonnegative, got {self.total_power}")
         check_fraction("m", self.normalized_cache)
         check_fraction("sigma2", self.csit_error_var)
-        if self.placement not in PLACEMENTS:
-            raise ValueError(f"placement: expected one of {PLACEMENTS}, got {self.placement!r}")
+        _check_placement(self.placement)
 
 
 @dataclass(frozen=True)
 class RngStream:
     """Counter-based splittable stream identity.
 
-    The Philox key is (seed, stream_id), so both must fit in 64 bits.
+    The Philox key is (seed, stream_id), so both must be integers in
+    [0, 2**64); a derivation too deep for that fails by the stream_id rule.
     `derive(i)` maps id to id * M + i + 1 with M = _DERIVE_MODULUS and
     0 <= i <= M - 2: the map is injective, and the ids derived from root 0
     at different depths fall in disjoint ranges ([1, M-1], [M+1, M^2-1],
@@ -108,10 +114,8 @@ class RngStream:
     stream_id: int = 0
 
     def __post_init__(self) -> None:
-        if not 0 <= self.seed < _KEY_LIMIT:
-            raise ValueError(f"seed must be in [0, 2**64), got {self.seed}")
-        if not 0 <= self.stream_id < _KEY_LIMIT:
-            raise ValueError(f"stream_id must be in [0, 2**64), got {self.stream_id}")
+        check_count("seed", self.seed, 0, _KEY_LIMIT)
+        check_count("stream_id", self.stream_id, 0, _KEY_LIMIT)
 
     def generator(self) -> np.random.Generator:
         key = np.array([self.seed, self.stream_id], dtype=np.uint64)
@@ -119,12 +123,8 @@ class RngStream:
 
     def derive(self, index: int) -> "RngStream":
         """Deterministic disjoint substream (e.g. one per grid point)."""
-        if not 0 <= index <= _DERIVE_MODULUS - 2:
-            raise ValueError(f"substream index must be in [0, {_DERIVE_MODULUS - 2}], got {index}")
-        stream_id = self.stream_id * _DERIVE_MODULUS + index + 1
-        if stream_id >= _KEY_LIMIT:
-            raise ValueError("derived stream id exceeds 64 bits; the derivation is too deep")
-        return RngStream(self.seed, stream_id)
+        check_count("index", index, 0, _DERIVE_MODULUS - 1)
+        return RngStream(self.seed, int(self.stream_id) * _DERIVE_MODULUS + int(index) + 1)
 
 
 def _complex_normal(gen: np.random.Generator, shape: tuple, var: float) -> np.ndarray:

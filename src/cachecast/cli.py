@@ -165,7 +165,7 @@ def _value(key: str, value, kind: str):
         if value != int(value):
             raise ValueError(f"{key}: expected an integer, got {value!r}")
         if kind == "count":
-            check_count(key, value)
+            check_count(key, int(value))  # an integral JSON number such as 20.0 passes
         return int(value)
     return float(value) if kind == "float" else value
 

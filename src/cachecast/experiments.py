@@ -56,13 +56,15 @@ CSV_SCHEMA = "cachecast-sweep-v1"
 
 
 def db_to_linear(x_db: float) -> float:
-    """10^(x_db / 10); a P_dB whose power overflows or underflows a float is a config error."""
+    """10^(x_db / 10); a NaN P_dB, or one whose power overflows or underflows a float, is a config error."""
     try:
         power = 10.0 ** (x_db / 10.0)
     except OverflowError:
         raise ValueError(f"P_dB: {x_db!r} dB is beyond the float range") from None
     if power == 0.0:
         raise ValueError(f"P_dB: {x_db!r} dB underflows to zero power")
+    if math.isnan(power):
+        raise ValueError(f"P_dB: expected a number, got {x_db!r}")
     return power
 
 

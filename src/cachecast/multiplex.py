@@ -84,8 +84,7 @@ def zf_beams(est: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     """
     est = np.asarray(est, dtype=np.complex128)
     K, nt = est.shape[-2:]
-    if nt < K:
-        raise ValueError("zero forcing requires num_tx_antennas >= num_users")
+    _check_nt(K, nt)
     try:
         if nt == K:
             w = np.linalg.inv(est)
@@ -119,11 +118,15 @@ def validate_zf_config(cfg: SystemConfig) -> None:
     Every zero-forcing estimator and closed form calls it; each message
     leads with the config key the CLI reads.
     """
-    K, nt, L = cfg.num_users, cfg.num_tx_antennas, cfg.num_subchannels
-    if nt < K:
-        raise ValueError(f"nt: zero forcing requires nt >= K = {K}, got {nt!r}")
+    _check_nt(cfg.num_users, cfg.num_tx_antennas)
+    L = cfg.num_subchannels
     if L != 1:
         raise ValueError(f"L: zero forcing runs on the quasi-static channel (L = 1), got {L!r}")
+
+
+def _check_nt(K: int, nt: int) -> None:
+    if nt < K:
+        raise ValueError(f"nt: zero forcing requires nt >= K = {K}, got {nt!r}")
 
 
 def zf_stats(

@@ -28,7 +28,9 @@ from cachecast.mixed import (
     optimal_split_numeric,
 )
 from cachecast.multicast import avg_rate_parallel, avg_rate_quasistatic, parallel_rate_bounds
+from cachecast.experiments import run_fig1, run_sweep
 from cachecast.multiplex import (
+    build_zf_precoder,
     symmetric_rate_asymptotic,
     symmetric_rate_mc,
     validate_zf_config,
@@ -38,10 +40,8 @@ from cachecast.multiplex import (
 
 def test_config_validation():
     # the other fields are checked, with their keys, below
-    with pytest.raises(ValueError):
-        SystemConfig(num_users=1, num_tx_antennas=1, total_power=-1.0)
-    for power in (math.nan, math.inf):
-        with pytest.raises(ValueError, match="finite"):
+    for power in (-1.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="^P_dB: total_power must be finite and nonnegative"):
             SystemConfig(num_users=1, num_tx_antennas=1, total_power=power)
 
 
@@ -100,15 +100,49 @@ def test_value_rules_name_their_key_and_bounds():
         (lambda: exact_min_mean(2, 0), "K"),
         (lambda: avg_rate_quasistatic(SystemConfig(**_OK, num_subchannels=2), RngStream(0), 10),
          "L"),
+        # an integral float or a bool is not an integer: each used to reach numpy's TypeError
+        (lambda: SystemConfig(num_users=2.0, num_tx_antennas=1, total_power=10.0), "K"),
+        (lambda: SystemConfig(num_users=True, num_tx_antennas=1, total_power=10.0), "K"),
+        (lambda: run_fig1(samples=10, k_grid=(20.0,)), "K"),
+        (lambda: avg_rate_parallel(SystemConfig(**_OK), RngStream(0), 2.0), "samples"),
+        (lambda: min_norm_statistic(2.0, 3, RngStream(0), 10), "nt"),
+        (lambda: exact_min_mean(2.0, 3), "nt"),
+        (lambda: build_zf_precoder(np.ones((3, 2))), "nt"),
+        # a fractional seed, id or index used to be truncated onto another stream's key
+        (lambda: RngStream(1.5), "seed"),
+        (lambda: RngStream(True), "seed"),
+        (lambda: RngStream(0, 1.5), "stream_id"),
+        (lambda: RngStream(0).derive(0.5), "index"),
+        (lambda: transmissions("mixed", 0.5, 4), "placement"),
+        # a NaN power used to pass db_to_linear
+        (lambda: run_sweep(samples=10, num_users=2, p_db_grid=(math.nan,)), "P_dB"),
+        (lambda: run_fig1(samples=10, k_grid=(20,), p_db_grid=(math.nan,)), "P_dB"),
     ],
     ids=["transmissions-K", "transmissions-m", "unicast-m", "selection-samples", "selection-m",
          "sample_batches", "min_norm-nt", "min_norm-K", "exact_min-nt", "exact_min-K",
-         "quasistatic-L"],
+         "quasistatic-L", "config-float-K", "config-bool-K", "fig1-float-K", "parallel-float-samples",
+         "min_norm-float-nt", "exact_min-float-nt", "zf_precoder-nt", "stream-float-seed",
+         "stream-bool-seed", "stream-float-id", "derive-float-index", "transmissions-placement",
+         "sweep-nan-P_dB", "fig1-nan-P_dB"],
 )
 def test_library_entry_points_fail_by_key(call, key):
-    with pytest.raises(ValueError) as exc:
-        call()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError) as exc:
+            call()
     assert str(exc.value).startswith(f"{key}: ")
+
+
+def test_numpy_integers_pass_the_integer_rule():
+    cfg = SystemConfig(num_users=np.int64(2), num_tx_antennas=np.int64(2), total_power=1.0)
+    assert cfg == SystemConfig(**_OK)
+    stream = RngStream(np.int64(3), np.uint64(1)).derive(np.int64(2))
+    assert stream == RngStream(3, 1).derive(2)
+    assert stream.generator().standard_normal() == RngStream(3, 1).derive(2).generator().standard_normal()
+    assert avg_rate_parallel(cfg, RngStream(np.int64(0)), np.int64(5)) == avg_rate_parallel(
+        SystemConfig(**_OK), RngStream(0), 5
+    )
+    assert exact_min_mean(np.int64(2), np.int64(3)) == exact_min_mean(2, 3)
 
 
 @pytest.mark.parametrize(
@@ -246,18 +280,20 @@ def test_squared_row_norms_over_substacks_match_one_shot_formula():
 
 def test_rng_stream_rejects_identities_outside_the_key_space():
     M = 1_000_003
-    for seed in (-1, 2**64):
-        with pytest.raises(ValueError):
+    for seed, rule in ((-1, ">= 0"), (2**64, "below 2**64")):
+        with pytest.raises(ValueError) as exc:
             RngStream(seed)
+        assert str(exc.value) == f"seed: expected an integer {rule}, got {seed!r}"
     RngStream(2**64 - 1).generator()
     root = RngStream(0)
-    for index in (-1, M - 1, M):
-        with pytest.raises(ValueError):
+    for index, rule in ((-1, ">= 0"), (M - 1, f"below {M - 1}"), (M, f"below {M - 1}")):
+        with pytest.raises(ValueError) as exc:
             root.derive(index)
+        assert str(exc.value) == f"index: expected an integer {rule}, got {index!r}"
     # derive(M) used to land on derive(0).derive(0)
     assert root.derive(0).derive(0).stream_id == M + 1
     RngStream(0, (2**64 - 1) // M - 1).derive(0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^stream_id: expected an integer below 2[*][*]64, got "):
         RngStream(0, (2**64 - 1) // M + 1).derive(0)
     with pytest.raises(ValueError):
         RngStream(0, 2**64)
