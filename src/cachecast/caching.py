@@ -49,6 +49,7 @@ def transmissions(placement: str, m: float, num_users: int) -> float:
 
 def delivery_rate_multicast(load: float, multicast_rate: float, num_users: int) -> float:
     """Equivalent content delivery rate (K / T) * r0; +inf when T = 0."""
+    check_count("K", num_users)
     if load < 0.0:
         raise ValueError("load must be nonnegative")
     if load == 0.0:
@@ -59,6 +60,7 @@ def delivery_rate_multicast(load: float, multicast_rate: float, num_users: int) 
 def delivery_rate_unicast(m: float, symmetric_rate: float, num_users: int) -> float:
     """Equivalent content delivery rate K * rsym / (1 - m); +inf at m = 1."""
     check_fraction("m", m)
+    check_count("K", num_users)
     if m == 1.0:
         return 0.0 if symmetric_rate == 0.0 else math.inf
     return num_users * symmetric_rate / (1.0 - m)
@@ -89,6 +91,7 @@ def selection_rate_samples(
         raise ValueError("threshold must be nonnegative")
     if not 0.0 < m < 1.0:
         raise ValueError(f"m: selection requires 0 < m < 1, got {m!r}")
+    check_count("K", num_users)
     check_count("samples", samples)
     counts = rng.generator().binomial(num_users, above_prob, size=samples)
     log_term = math.log1p(threshold)

@@ -9,6 +9,7 @@ so distinct ids give independent sequences without coordination.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Iterator, Tuple
 
@@ -23,6 +24,7 @@ __all__ = [
     "RngStream",
     "draw_channel_batch",
     "channel_stacks",
+    "draw_stacks",
     "min_norm_statistic",
     "exact_min_mean",
     "squared_row_norms",
@@ -53,9 +55,10 @@ _KEY_LIMIT = 1 << 64
 
 def check_count(key: str, value, lo: int = 1, hi: int = 2**63) -> None:
     """The one integer rule, keyed: an int or numpy integer, not a bool, in [lo, hi); a count by default."""
-    if not value >= lo:
+    real = isinstance(value, numbers.Real)
+    if real and not value >= lo:
         raise ValueError(f"{key}: expected an integer >= {lo}, got {value!r}")
-    if not value < hi:
+    if real and not value < hi:
         bound = f"2**{hi.bit_length() - 1}" if hi & (hi - 1) == 0 else hi
         raise ValueError(f"{key}: expected an integer below {bound}, got {value!r}")
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
@@ -63,7 +66,9 @@ def check_count(key: str, value, lo: int = 1, hi: int = 2**63) -> None:
 
 
 def check_fraction(key: str, value) -> None:
-    """The one fraction rule, keyed: a value in [0, 1]."""
+    """The one fraction rule, keyed: a number, not a bool, in [0, 1]."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{key}: expected a number, got {value!r}")
     if not 0.0 <= value <= 1.0:
         raise ValueError(f"{key}: expected a value in [0, 1], got {value!r}")
 
@@ -170,7 +175,7 @@ def substacks(n: int, scalars_per_row: int, budget: int = _SUBSTACK_SCALARS) -> 
 
 
 def channel_stacks(
-    cfg: SystemConfig, gen: np.random.Generator, n: int
+    cfg: SystemConfig, gen: np.random.Generator, n: int, blind_beams: bool = False
 ) -> Iterator[Tuple[slice, np.ndarray, np.ndarray, np.ndarray]]:
     """(rows, true, est, err) of n draws, one sub-stack at a time, in stream order.
 
@@ -179,18 +184,40 @@ def channel_stacks(
     at once; the errors follow one sub-stack at a time.  Philox fills
     sequentially and est + err is elementwise, so every value and the final
     stream position equal those of `draw_channel_batch(cfg, gen, n)`.
+
+    With `blind_beams` at sigma2 = 1, where the estimate is zero, each est
+    is an isotropic CN(0, 1) matrix to build beams from, drawn after all n
+    channels so the channel stream position stays a function of (cfg, n).
     """
     s2 = cfg.csit_error_var
     blocks = substacks(n, scalars_per_draw(cfg))
     if s2 in (0.0, 1.0):
-        for rows in blocks:
-            yield (rows, *draw_channel_batch(cfg, gen, rows.stop - rows.start))
+        stacks = ((rows, *draw_channel_batch(cfg, gen, rows.stop - rows.start)) for rows in blocks)
+        if s2 == 1.0 and blind_beams:
+            # list() runs as the expression is built, so every channel is drawn first
+            stacks = ((r, t, _complex_normal(gen, t.shape, 1.0), e) for r, t, _, e in list(stacks))
+        yield from stacks
         return
     shape = (cfg.num_subchannels, cfg.num_users, cfg.num_tx_antennas)
     est = _complex_normal(gen, (n,) + shape, 1.0 - s2)
     for rows in blocks:
         err = _complex_normal(gen, (rows.stop - rows.start,) + shape, s2)
         yield rows, est[rows] + err, est[rows], err
+
+
+def draw_stacks(cfg: SystemConfig, rng: RngStream, samples: int, blind_beams: bool = False):
+    """`channel_stacks` of each `sample_batches` batch: the one draw walk of every estimator.
+
+    Yields (rows, true, est, err) in stream order on one generator of rng,
+    rows counted from sample 0.  `samples` is checked on the call, before
+    the caller allocates its outputs.
+    """
+    batches = sample_batches(rng, samples, scalars_per_draw(cfg))
+    return (
+        (slice(batch.start + rows.start, batch.start + rows.stop), true, est, err)
+        for gen, batch in batches
+        for rows, true, est, err in channel_stacks(cfg, gen, batch.stop - batch.start, blind_beams)
+    )
 
 
 def squared_row_norms(h: np.ndarray) -> np.ndarray:
@@ -206,7 +233,7 @@ def squared_row_norms(h: np.ndarray) -> np.ndarray:
 
 
 def scalars_per_draw(cfg: SystemConfig) -> int:
-    """Normal scalars one `channel_stacks` realization draws; fixes the batch partition."""
+    """Normal scalars of one channel realization, blind beams aside; fixes the batch partition."""
     base = 2 * cfg.num_subchannels * cfg.num_users * cfg.num_tx_antennas
     return base if cfg.csit_error_var in (0.0, 1.0) else 2 * base
 
@@ -216,10 +243,9 @@ def sample_batches(
 ) -> Iterator[Tuple[np.random.Generator, slice]]:
     """(gen, rows) for each batch of range(samples), all on one generator of rng.
 
-    The one batch loop of every Monte-Carlo estimator: the batches are the
-    `substacks` of the samples at _BATCH_TARGET, in draw order, and the
-    estimator writes each batch into outputs it allocated once.  `samples`
-    is checked on the call, before the caller allocates them.
+    The batches are the `substacks` of the samples at _BATCH_TARGET, in
+    draw order; `draw_stacks` and `min_norm_statistic` walk them.  `samples`
+    is checked on the call, before the caller allocates its outputs.
     """
     check_count("samples", samples)
     gen = rng.generator()

@@ -3,10 +3,9 @@
 Under isotropic signaling the instantaneous multicast rate is the log-rate
 of the worst user, averaged over the L sub-channels a codeword spans.  The
 asymptotic table is driven by the extreme-value normalizer
-a_K = nt * (K / nt!)^(1/nt).  The estimators write each batch of
-`channel.sample_batches` into preallocated (samples,) outputs, reducing it
-over `channel.channel_stacks` (a batch's estimates first, then its errors
-per sub-stack), so a batch holds its estimate tensor plus one sub-stack.
+a_K = nt * (K / nt!)^(1/nt).  The estimators reduce each sub-stack of
+`channel.draw_stacks` into preallocated (samples,) outputs, so a batch
+holds its estimate tensor plus one sub-stack.
 """
 
 from __future__ import annotations
@@ -20,10 +19,8 @@ import numpy as np
 from .channel import (
     RngStream,
     SystemConfig,
-    channel_stacks,
     draw_channel_batch,  # not called here; bench/test_bench.py checks this binding is traced
-    sample_batches,
-    scalars_per_draw,
+    draw_stacks,
     squared_row_norms,
 )
 from .results import RateEstimate, rates_overflow_by_power
@@ -53,15 +50,13 @@ class AsymptoticRate:
 
 def avg_rate_parallel(cfg: SystemConfig, rng: RngStream, samples: int) -> RateEstimate:
     """MC mean of min_k (1/L) sum_l ln(1 + snr_{k,l}) over fresh draws."""
-    batches = sample_batches(rng, samples, scalars_per_draw(cfg))
+    stacks = draw_stacks(cfg, rng, samples)
     values = np.empty(samples)
     with rates_overflow_by_power():
-        for gen, batch in batches:
-            out = values[batch]
-            for rows, true, _, _ in channel_stacks(cfg, gen, batch.stop - batch.start):
-                snr = squared_row_norms(true)  # (rows, L, K)
-                snr *= cfg.total_power / cfg.num_tx_antennas
-                out[rows] = np.log1p(snr, out=snr).mean(axis=1).min(axis=1)
+        for rows, true, _, _ in stacks:
+            snr = squared_row_norms(true)  # (rows, L, K)
+            snr *= cfg.total_power / cfg.num_tx_antennas
+            values[rows] = np.log1p(snr, out=snr).mean(axis=1).min(axis=1)
     return RateEstimate.from_values(values)
 
 
@@ -81,17 +76,15 @@ def parallel_rate_bounds(
     Computed from the same draws, so paired-seed comparisons against
     avg_rate_parallel are sandwich-tight up to MC error.
     """
-    batches = sample_batches(rng, samples, scalars_per_draw(cfg))
+    stacks = draw_stacks(cfg, rng, samples)
     lower, upper = np.empty(samples), np.empty(samples)
     with rates_overflow_by_power():
-        for gen, batch in batches:
-            low, up = lower[batch], upper[batch]
-            for rows, true, _, _ in channel_stacks(cfg, gen, batch.stop - batch.start):
-                # per-antenna SNR terms P * |h_{j,k,l}|^2, flattened over (l, j)
-                per_antenna = cfg.total_power * (true.real**2 + true.imag**2)  # (rows, L, K, nt)
-                avg_snr = per_antenna.mean(axis=(1, 3))  # (rows, K)
-                low[rows] = np.log1p(per_antenna).mean(axis=(1, 3)).min(axis=1)
-                up[rows] = np.log1p(avg_snr.min(axis=1))
+        for rows, true, _, _ in stacks:
+            # per-antenna SNR terms P * |h_{j,k,l}|^2, flattened over (l, j)
+            per_antenna = cfg.total_power * (true.real**2 + true.imag**2)  # (rows, L, K, nt)
+            avg_snr = per_antenna.mean(axis=(1, 3))  # (rows, K)
+            lower[rows] = np.log1p(per_antenna).mean(axis=(1, 3)).min(axis=1)
+            upper[rows] = np.log1p(avg_snr.min(axis=1))
     return RateEstimate.from_values(lower), RateEstimate.from_values(upper)
 
 

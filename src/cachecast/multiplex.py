@@ -20,11 +20,9 @@ import numpy as np
 from .channel import (
     RngStream,
     SystemConfig,
-    _complex_normal,
     channel_stacks,
     draw_channel_batch,  # not called here; bench/test_bench.py checks this binding is traced
-    sample_batches,
-    scalars_per_draw,
+    draw_stacks,
     squared_row_norms,
 )
 from .results import RateEstimate, rates_overflow_by_power
@@ -139,65 +137,44 @@ def zf_stats(
     signal gain is |gain_k + Gt_kk|^2 and the interference is the
     off-diagonal energy of Gt.  With perfect CSIT (sigma2 = 0) Gt is zero,
     so it is not formed.  When the estimate carries no information
-    (sigma2 = 1) the beams are built from an auxiliary isotropic matrix,
-    drawn after the n blind channels so the channel stream position stays a
-    function of (cfg, n), and the signal term is Gt_kk alone.  A config
-    that fails `validate_zf_config` raises before anything is drawn.
-
-    The n draws are one batch of `_zf_batches`.  The channels come from
-    `channel_stacks`; at sigma2 = 1 an auxiliary isotropic matrix per
-    sub-stack follows the batch's channels.  The row norms, the beams, Gt
-    and the reductions run per sub-stack; every step is per draw, so the
-    (n, K) outputs equal the one-shot computation bit for bit.
+    (sigma2 = 1) the beams come from the blind beams of `channel_stacks`,
+    and the signal term is Gt_kk alone.  Every step runs per sub-stack and
+    per draw, so the outputs equal the one-shot computation bit for bit.  A
+    config that fails `validate_zf_config` raises before anything is drawn.
     """
     validate_zf_config(cfg)
-    K, s2 = cfg.num_users, cfg.csit_error_var
-    stacks = channel_stacks(cfg, gen, n)
-    if s2 == 1.0:
-        # the beams come from an auxiliary matrix, not the zero estimate; list()
-        # runs as the expression is built, so every channel is drawn first
-        stacks = ((r, t, _complex_normal(gen, t.shape, 1.0), t) for r, t, _, _ in list(stacks))
-    norm2, g2 = np.empty((n, K)), np.empty((n, K))
-    inter = np.zeros((n, K))
-    idx = np.arange(K)
-    for rows, true, est, err in stacks:
-        norm2[rows] = squared_row_norms(true[:, 0])
-        w, gain = zf_beams(est[:, 0])
-        if s2 == 0.0:
-            g2[rows] = gain**2
-            continue
-        gt = err[:, 0] @ w
-        g = gt[:, idx, idx] if s2 == 1.0 else gain + gt[:, idx, idx]
-        gt2 = gt.real * gt.real + gt.imag * gt.imag
-        inter[rows] = gt2.sum(axis=2) - gt2[:, idx, idx]
-        g2[rows] = g.real * g.real + g.imag * g.imag
-    return norm2, g2, inter
+    return _zf_fill(cfg, n, channel_stacks(cfg, gen, n, blind_beams=True))
 
 
-def _zf_batches(cfg: SystemConfig, rng: RngStream, samples: int):
-    """(rows, `zf_stats` of those rows) per `sample_batches` batch: the one checked ZF walk.
+def _zf_substack(cfg: SystemConfig, true, est, err) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """`zf_stats` of one sub-stack of draws, each (rows, K)."""
+    s2 = cfg.csit_error_var
+    norm2 = squared_row_norms(true[:, 0])
+    w, gain = zf_beams(est[:, 0])
+    if s2 == 0.0:
+        return norm2, gain**2, np.zeros_like(norm2)
+    idx = np.arange(cfg.num_users)
+    gt = err[:, 0] @ w
+    g = gt[:, idx, idx] if s2 == 1.0 else gain + gt[:, idx, idx]
+    gt2 = gt.real * gt.real + gt.imag * gt.imag
+    return norm2, g.real * g.real + g.imag * g.imag, gt2.sum(axis=2) - gt2[:, idx, idx]
 
-    The config and `samples` are checked on the call, before an output is
-    allocated.  The partition, part of the frozen stream, counts
-    `scalars_per_draw(cfg)` per draw; at sigma2 = 1 `zf_stats` draws twice that.
-    """
-    validate_zf_config(cfg)
-    batches = sample_batches(rng, samples, scalars_per_draw(cfg))
-    return ((rows, zf_stats(cfg, gen, rows.stop - rows.start)) for gen, rows in batches)
+
+def _zf_fill(cfg: SystemConfig, n: int, stacks) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """`_zf_substack` of each (rows, true, est, err) of stacks, written into (n, K) outputs."""
+    stats = tuple(np.empty((n, cfg.num_users)) for _ in range(3))
+    for rows, *stack in stacks:
+        for out, part in zip(stats, _zf_substack(cfg, *stack)):
+            out[rows] = part
+    return stats
 
 
 def zf_statistics(
     cfg: SystemConfig, rng: RngStream, samples: int
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """`zf_stats` of `samples` draws on one generator of rng, each (samples, K).
-
-    The mixed estimators' one pass; `symmetric_rate_mc` streams `_zf_batches` instead.
-    """
-    batches = _zf_batches(cfg, rng, samples)
-    norm2, g2, inter = (np.empty((samples, cfg.num_users)) for _ in range(3))
-    for rows, stats in batches:
-        norm2[rows], g2[rows], inter[rows] = stats
-    return norm2, g2, inter
+    """`zf_stats` of `samples` draws of `draw_stacks`: the mixed estimators' one pass."""
+    validate_zf_config(cfg)
+    return _zf_fill(cfg, samples, draw_stacks(cfg, rng, samples, blind_beams=True))
 
 
 def private_rate_values(g2: np.ndarray, inter: np.ndarray, p: float) -> np.ndarray:
@@ -211,10 +188,12 @@ def symmetric_rate_mc(cfg: SystemConfig, rng: RngStream, samples: int) -> RateEs
     The precoder is rebuilt from the estimate on every draw and applied to
     the true channel; the rate is averaged over users and draws.
     """
+    validate_zf_config(cfg)
     p = cfg.total_power / cfg.num_users
-    batches = _zf_batches(cfg, rng, samples)
+    stacks = draw_stacks(cfg, rng, samples, blind_beams=True)
     values = np.empty(samples)
-    for rows, (_, g2, inter) in batches:
+    for rows, *stack in stacks:
+        _, g2, inter = _zf_substack(cfg, *stack)
         with rates_overflow_by_power():
             values[rows] = private_rate_values(g2, inter, p)
     return RateEstimate.from_values(values)

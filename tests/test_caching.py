@@ -143,3 +143,22 @@ def test_selection_rate_samples_needs_a_sample():
     for threshold in (-1.0, -1e-300, -math.inf):
         with pytest.raises(ValueError, match="threshold must be nonnegative"):
             selection_rate_samples(0.1, 10, 0.5, threshold, RngStream(0), 10)
+
+
+@pytest.mark.parametrize("K", [0, -3, 2.0, True, "2"])
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda K: selection_rate_samples(0.1, K, 0.5, 1.0, RngStream(0), 10),
+        lambda K: delivery_rate_selection(0.1, 1.0, 10.0, K, RngStream(0), 10),
+        lambda K: delivery_rate_unicast(0.1, 1.0, K),
+        lambda K: delivery_rate_multicast(2.0, 1.0, K),
+    ],
+    ids=["selection_samples", "selection", "unicast", "multicast"],
+)
+def test_rate_helpers_check_the_user_count_by_key(call, K):
+    # each used to run on: numpy read 2.0 as 2, K = 0 gave a rate of 0.0 and
+    # a negative K a negative rate
+    with pytest.raises(ValueError) as exc:
+        call(K)
+    assert str(exc.value) == f"K: expected an integer{' >= 1' if K in (0, -3) else ''}, got {K!r}"

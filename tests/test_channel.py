@@ -5,6 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
+from cachecast import channel
 from cachecast.caching import delivery_rate_unicast, selection_rate_samples, transmissions
 from cachecast.channel import (
     RngStream,
@@ -14,6 +15,7 @@ from cachecast.channel import (
     check_count,
     check_fraction,
     draw_channel_batch,
+    draw_stacks,
     exact_min_mean,
     min_norm_statistic,
     sample_batches,
@@ -58,6 +60,7 @@ _OK = dict(num_users=2, num_tx_antennas=2, total_power=1.0)
         ("num_tx_antennas", 2**63, "nt"),
         ("num_subchannels", 2**63, "L"),
         ("normalized_cache", 1.5, "m"),
+        ("normalized_cache", True, "m"),
         ("csit_error_var", 2.0, "sigma2"),
         ("placement", "exotic", "placement"),
     ],
@@ -73,16 +76,21 @@ def test_value_rules_name_their_key_and_bounds():
     for value in (1, 2**63 - 1):
         check_count("n", value)
     for value, rule in ((0, " >= 1"), (-2, " >= 1"), (math.nan, " >= 1"),
-                        (math.inf, " below 2**63"), (2**63, " below 2**63"), (2.5, "")):
+                        (math.inf, " below 2**63"), (2**63, " below 2**63"), (2.5, ""),
+                        ("2", ""), (None, ""), ([2], "")):
         with pytest.raises(ValueError) as exc:
             check_count("n", value)
         assert str(exc.value) == f"n: expected an integer{rule}, got {value!r}"
-    for value in (0.0, 0.5, 1.0):
+    for value in (0.0, 0.5, 1.0, 0, 1, np.int64(0), np.float32(0.5)):
         check_fraction("x", value)
     for value in (-1e-300, 1.5, math.nan):
         with pytest.raises(ValueError) as exc:
             check_fraction("x", value)
         assert str(exc.value) == f"x: expected a value in [0, 1], got {value!r}"
+    for value in (True, False, "0.5", None, np.bool_(True)):
+        with pytest.raises(ValueError) as exc:
+            check_fraction("x", value)
+        assert str(exc.value) == f"x: expected a number, got {value!r}"
 
 
 @pytest.mark.parametrize(
@@ -215,6 +223,38 @@ def test_channel_stacks_equal_the_one_shot_draw(s2, L):
                 assert part.shape == whole[rows].shape and np.all(part == whole[rows])
         assert seen[-1].stop == n and len(seen) == (1 if n == 1 else 4)
         assert gen.standard_normal() == ref_gen.standard_normal()
+
+
+@pytest.mark.parametrize("blind_beams", [False, True])
+@pytest.mark.parametrize("s2", [0.0, 0.3, 1.0])
+def test_draw_stacks_keep_the_batch_walk_and_beam_order(s2, blind_beams, monkeypatch):
+    # the reference is the walk the estimators wrote out by hand before
+    # draw_stacks: channel_stacks of each sample_batches batch and, for ZF at
+    # sigma2 = 1, one isotropic beam matrix per sub-stack after all the batch's channels
+    cfg = SystemConfig(
+        num_users=3, num_tx_antennas=2, total_power=1.0, num_subchannels=2, csit_error_var=s2
+    )
+    per_draw, samples = scalars_per_draw(cfg), 7_000
+    monkeypatch.setattr(channel, "_BATCH_TARGET", 3_000 * per_draw)
+    ref_rows, ref = [], []
+    for ref_gen, batch in sample_batches(RngStream(12), samples, per_draw):
+        stacks = list(channel_stacks(cfg, ref_gen, batch.stop - batch.start))
+        if s2 == 1.0 and blind_beams:
+            stacks = [(r, t, _complex_normal(ref_gen, t.shape, 1.0), e) for r, t, _, e in stacks]
+        ref_rows += [slice(batch.start + r.start, batch.start + r.stop) for r, *_ in stacks]
+        ref += [parts for _, *parts in stacks]
+    # three batches (3000, 3000, 1000), and more than one sub-stack in a full batch
+    assert len(list(sample_batches(RngStream(12), samples, per_draw))) == 3 and len(ref) >= 5
+    made, generator = [], RngStream.generator
+    monkeypatch.setattr(RngStream, "generator", lambda self: made.append(generator(self)) or made[-1])
+    walk = list(draw_stacks(cfg, RngStream(12), samples, blind_beams))
+    assert len(made) == 1
+    assert [rows for rows, *_ in walk] == ref_rows and ref_rows[-1].stop == samples
+    for (_, *parts), ref_parts in zip(walk, ref):
+        for part, whole in zip(parts, ref_parts):
+            assert part.shape == whole.shape and part.tobytes() == whole.tobytes()
+    assert all(est.any() for _, _, est, _ in walk) == (s2 < 1.0 or blind_beams)
+    assert made[0].standard_normal() == ref_gen.standard_normal()
 
 
 @pytest.mark.parametrize("shape", [(1,), (7, 3), (4, 1, 5, 6)])
@@ -350,9 +390,10 @@ _FULL_CACHE_CFG = SystemConfig(
     ids=["parallel", "bounds", "symmetric", "mixed", "split", "split_full_cache", "min_norm"],
 )
 @pytest.mark.parametrize("samples", [0, -1])
-def test_estimators_check_samples_before_allocating(estimator, samples):
+def test_estimators_check_samples_before_allocating(estimator, samples, monkeypatch):
     # the outputs are allocated at (samples,): the check must come first, or
-    # -1 would surface as numpy's "negative dimensions" error
+    # -1 would surface as numpy's "negative dimensions" error; no generator is made either
+    monkeypatch.setattr(RngStream, "generator", lambda self: pytest.fail("a generator was made"))
     with pytest.raises(ValueError) as exc:
         estimator(samples)
     assert str(exc.value) == f"samples: expected an integer >= 1, got {samples}"

@@ -33,3 +33,11 @@ def test_importing_the_cli_loads_no_scipy():
         [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60, check=True
     )
     assert out.stdout.strip() == "[]"
+
+
+@pytest.mark.parametrize("module", ["multicast", "multiplex", "mixed"])
+def test_only_channel_knows_the_batch_partition_and_draw_order(module):
+    # the estimators reach the stream through channel.draw_stacks or
+    # channel_stacks, so that a change of batching or draw order is made in channel alone
+    mod = importlib.import_module(f"cachecast.{module}")
+    assert not {"sample_batches", "scalars_per_draw", "_complex_normal"} & set(vars(mod))

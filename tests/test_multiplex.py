@@ -15,6 +15,7 @@ from cachecast.channel import (
     scalars_per_draw,
     substacks,
 )
+from cachecast.multicast import avg_rate_parallel
 from cachecast.multiplex import (
     build_zf_precoder,
     symmetric_rate_asymptotic,
@@ -178,9 +179,13 @@ def test_zf_statistics_are_the_batches_of_zf_stats_in_draw_order(s2, monkeypatch
 def test_zf_statistics_checks_before_any_generator(scenario, samples, message, monkeypatch):
     # -1 would otherwise surface as numpy's "negative dimensions" error
     monkeypatch.setattr(RngStream, "generator", lambda self: pytest.fail("a generator was made"))
-    with pytest.raises(ValueError) as exc:
-        zf_statistics(scenario, RngStream(49), samples)
-    assert str(exc.value) == message
+    estimators = [zf_statistics, symmetric_rate_mc]
+    if scenario.num_subchannels == 1:  # multicast runs on L > 1: only samples is bad for it
+        estimators.append(avg_rate_parallel)
+    for estimator in estimators:
+        with pytest.raises(ValueError) as exc:
+            estimator(scenario, RngStream(49), samples)
+        assert str(exc.value) == message
 
 
 def _zf_stats_peak(s2, K=100, n=30):
