@@ -6,6 +6,12 @@ into an equivalent content delivery rate.  Rates are in nats/s/Hz and a full
 cache (m = 1) yields an infinite delivery rate by convention.  Threshold
 selection draws through one sampler, `selection_rate_samples`, which every
 selection estimator calls with the tail probability of its channel model.
+
+A threshold search evaluates every candidate on the same restarted stream
+(common random numbers), so its selected-user counts come from one
+`SelectedCounts` per search: it draws the stream's uniforms once and reads
+every candidate's counts off them, equal bit for bit to
+`Generator.binomial` (see `SelectedCounts.binomial`).
 """
 
 from __future__ import annotations
@@ -23,6 +29,7 @@ __all__ = [
     "delivery_rate_unicast",
     "delivery_rate_selection",
     "selection_rate_samples",
+    "SelectedCounts",
 ]
 
 
@@ -66,6 +73,89 @@ def delivery_rate_unicast(m: float, symmetric_rate: float, num_users: int) -> fl
     return num_users * symmetric_rate / (1.0 - m)
 
 
+def _check_threshold(threshold: float) -> None:
+    """The one threshold rule: a linear SNR, not NaN, at least 0."""
+    if math.isnan(threshold):
+        raise ValueError(f"threshold: expected a number, got {threshold!r}")
+    if threshold < 0.0:
+        raise ValueError("threshold must be nonnegative")
+
+
+# margin over the 2*(bound + 1) roundings that `SelectedCounts` compares across
+_TOLERANCE_ULPS = 4
+
+
+class SelectedCounts:
+    """Binomial selected-user counts of one stream, drawn once for a whole search.
+
+    `binomial(K, p)` equals `rng.generator().binomial(K, p, size=samples)`
+    bit for bit.  It mirrors the dispatch of numpy's `random_binomial`:
+    p <= 0.5 with p*K <= 30 is `random_binomial_inversion(K, p)`, p > 0.5
+    with q*K <= 30 (q = 1.0 - p) is K - `random_binomial_inversion(K, q)`,
+    and the rest is BTPE.  Inversion takes one uniform U = (raw >> 11) *
+    2**-53 of the Philox stream per sample and returns the first X with
+    U <= px_0 + ... + px_X, restarting on a fresh uniform past `bound`.  So
+    the first inversion-regime call draws the uniforms with `random_raw` and
+    sorts them, and every call rebuilds numpy's table with the same float
+    operations (qn = exp(K*log1p(-p)), as numpy 2 computes it), takes its
+    cumulative sum and counts the uniforms below each step by binary search.
+
+    numpy subtracts px_0, px_1, ... from U one at a time, where the sum adds
+    them one at a time; each rounding moves a value of at most 1 by at most
+    2**-53, so the two sides of every comparison differ by less than
+    2*(bound + 1)*2**-53.  A uniform within `_TOLERANCE_ULPS`*(bound + 2)*2**-53
+    of a step, or past the last step (a restart), sends the whole call to
+    `rng.generator().binomial`, as do p = 0 and the BTPE regime.  A numpy
+    change to `random_binomial_inversion` shows up as a failure of the
+    exactness table in the tests.  The state is 16 B per sample (the sorted
+    uniforms and their order), owned by the search that made it.
+    """
+
+    def __init__(self, rng: RngStream, samples: int) -> None:
+        check_count("samples", samples)
+        self.rng = rng
+        self.samples = samples
+        self._sorted = None
+
+    def binomial(self, num_users: int, above_prob: float) -> np.ndarray:
+        """`self.rng.generator().binomial(num_users, above_prob, size=self.samples)`."""
+        check_count("K", num_users)
+        check_fraction("above_prob", above_prob)
+        flip = above_prob > 0.5
+        p = 1.0 - above_prob if flip else above_prob
+        if above_prob != 0.0 and p * num_users <= 30.0:
+            counts = self._inversion(num_users, p)
+            if counts is not None:
+                return num_users - counts if flip else counts
+        return self.rng.generator().binomial(num_users, above_prob, size=self.samples)
+
+    def _inversion(self, n: int, p: float):
+        """numpy's `random_binomial_inversion(n, p)` per uniform; None on a close call."""
+        if self._sorted is None:
+            raw = self.rng.generator().bit_generator.random_raw(self.samples)
+            uniforms = (raw >> np.uint64(11)) * 2.0**-53
+            order = np.argsort(uniforms)
+            self._sorted = uniforms[order], order
+        uniforms, order = self._sorted
+        # numpy's constants and recurrence, operation for operation
+        q = 1.0 - p
+        qn = math.exp(n * math.log1p(-p))
+        mean = n * p
+        bound = int(min(float(n), mean + 10.0 * math.sqrt(mean * q + 1)))
+        px = [qn]
+        for x in range(1, bound + 1):
+            px.append(((n - x + 1) * p * px[-1]) / (x * q))
+        steps = np.cumsum(px)
+        tol = _TOLERANCE_ULPS * (bound + 2) * 2.0**-53
+        below = np.searchsorted(uniforms, steps - tol, side="right")
+        close = np.searchsorted(uniforms, steps + tol, side="right") != below
+        if below[-1] < self.samples or close.any():
+            return None
+        counts = np.empty(self.samples, dtype=np.int64)
+        counts[order] = np.repeat(np.arange(bound + 1, dtype=np.int64), np.diff(below, prepend=0))
+        return counts
+
+
 def selection_rate_samples(
     m: float,
     num_users: int,
@@ -73,27 +163,35 @@ def selection_rate_samples(
     threshold: float,
     rng: RngStream,
     samples: int,
+    draws: SelectedCounts | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Per-sample delivery rates and selected counts (decentralized load).
 
-    The one selection sampler.  Each call draws from a fresh
-    `rng.generator()`, so every threshold of a search sees the same draws
-    (common random numbers).  Each sample draws the binomial number of
-    selected users n, each above the threshold with probability
-    `above_prob`, and takes (m/(1-m)) * n / (1 - (1-m)^n) * ln(1 + s), with
-    the empty-selection samples contributing zero.  The expression is
-    evaluated once per count in [min n, max n] and gathered by count when
-    that range is narrower than the sample count (a few hundred counts
-    against 10^4 samples at fig2's defaults), else once per sample; each
-    value is the same float either way.
+    The one selection sampler.  Every call draws the stream of
+    `rng.generator()` from its start, so every threshold of a search sees
+    the same draws (common random numbers); a search passes one
+    `SelectedCounts` of (rng, samples) as `draws`, which draws the stream
+    once for all its calls and returns the same counts.  Each sample draws
+    the binomial number of selected users n, each above the threshold with
+    probability `above_prob`, and takes (m/(1-m)) * n / (1 - (1-m)^n) *
+    ln(1 + s), with the empty-selection samples contributing zero.  The
+    expression is evaluated once per count in [min n, max n] and gathered
+    by count when that range is narrower than the sample count (a few
+    hundred counts against 10^4 samples at fig2's defaults), else once per
+    sample; each value is the same float either way.
     """
-    if threshold < 0.0:
-        raise ValueError("threshold must be nonnegative")
+    _check_threshold(threshold)
     if not 0.0 < m < 1.0:
         raise ValueError(f"m: selection requires 0 < m < 1, got {m!r}")
     check_count("K", num_users)
+    check_fraction("above_prob", above_prob)
     check_count("samples", samples)
-    counts = rng.generator().binomial(num_users, above_prob, size=samples)
+    if draws is None:
+        counts = rng.generator().binomial(num_users, above_prob, size=samples)
+    elif draws.rng != rng or draws.samples != samples:
+        raise ValueError("draws: a SelectedCounts of another stream or sample count")
+    else:
+        counts = draws.binomial(num_users, above_prob)
     log_term = math.log1p(threshold)
     lo = int(counts.min())
     width = int(counts.max()) - lo + 1

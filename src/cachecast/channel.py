@@ -188,7 +188,13 @@ def channel_stacks(
     With `blind_beams` at sigma2 = 1, where the estimate is zero, each est
     is an isotropic CN(0, 1) matrix to build beams from, drawn after all n
     channels so the channel stream position stays a function of (cfg, n).
+    n is checked on the call, before anything is drawn.
     """
+    check_count("n", n, 0)
+    return _channel_stacks(cfg, gen, n, blind_beams)
+
+
+def _channel_stacks(cfg: SystemConfig, gen: np.random.Generator, n: int, blind_beams: bool):
     s2 = cfg.csit_error_var
     blocks = substacks(n, scalars_per_draw(cfg))
     if s2 in (0.0, 1.0):

@@ -140,7 +140,9 @@ def zf_stats(
     (sigma2 = 1) the beams come from the blind beams of `channel_stacks`,
     and the signal term is Gt_kk alone.  Every step runs per sub-stack and
     per draw, so the outputs equal the one-shot computation bit for bit.  A
-    config that fails `validate_zf_config` raises before anything is drawn.
+    config that fails `validate_zf_config`, or an n that fails
+    `check_count("n", n, 0)` in `channel_stacks`, raises before anything is
+    drawn.
     """
     validate_zf_config(cfg)
     return _zf_fill(cfg, n, channel_stacks(cfg, gen, n, blind_beams=True))

@@ -4,7 +4,9 @@ The base station multicasts at ln(1 + s) to the users whose instantaneous
 SNR clears the threshold s; for Rayleigh SNR the rate-maximizing threshold
 has the closed form s* = P / W(P) - 1.  All thresholds here are linear SNR.
 The estimators pass the Gamma SNR tail to `caching.selection_rate_samples`,
-the one selection sampler, which restarts the stream on every call.
+the one selection sampler.  Every call sees the stream from its start; a
+threshold search draws it once, through one `caching.SelectedCounts` shared
+by all its candidates, whose counts equal numpy's binomial bit for bit.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Tuple
 
-from .caching import selection_rate_samples
+from .caching import SelectedCounts, _check_threshold, selection_rate_samples
 from .channel import RngStream, SystemConfig
 from .mathx import ToleranceSpec, lambert_w, maximize_1d, reg_upper_gamma
 from .results import RateEstimate
@@ -46,8 +48,7 @@ def optimal_threshold_rayleigh(total_power: float) -> float:
 
 def snr_above_probability(cfg: SystemConfig, threshold: float) -> float:
     """P(snr >= s) for the Gamma-distributed per-user SNR; 1.0 at s = 0."""
-    if threshold < 0.0:
-        raise ValueError("threshold must be nonnegative")
+    _check_threshold(threshold)
     nt = cfg.num_tx_antennas
     return reg_upper_gamma(nt, nt * threshold / cfg.total_power)
 
@@ -91,19 +92,22 @@ def empirical_optimal_threshold(
 ) -> float:
     """Simulated argmax of the selection delivery rate over the bracket.
 
-    Every candidate threshold is evaluated on the same restarted stream
-    (common random numbers), which keeps the argmax well conditioned at
-    finite sample counts and makes repeated calls identical.  The objective
+    Every candidate threshold is evaluated on the same stream (common
+    random numbers), which keeps the argmax well conditioned at finite
+    sample counts and makes repeated calls identical; the search draws it
+    once, into one `SelectedCounts`, and each candidate's counts equal a
+    restarted `rng.generator().binomial` bit for bit.  The objective
     is the sample mean alone, the same float as
     `simulated_selection_rate(...).rate.mean`, and the scenario rule is
     checked once; a negative bracket raises at its first candidate, bracket[0].
     """
     validate_selection_config(cfg)
     m, K = cfg.normalized_cache, cfg.num_users
+    draws = SelectedCounts(rng, samples)
 
     def rate_at(s: float) -> float:
         above = snr_above_probability(cfg, s)
-        return float(selection_rate_samples(m, K, above, s, rng, samples)[0].mean())
+        return float(selection_rate_samples(m, K, above, s, rng, samples, draws)[0].mean())
 
     best_s, _ = maximize_1d(rate_at, bracket[0], bracket[1], tol=_SEARCH_TOL, grid_points=41)
     return best_s

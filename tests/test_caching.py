@@ -4,7 +4,9 @@ import warnings
 import numpy as np
 import pytest
 
+from cachecast import caching
 from cachecast.caching import (
+    SelectedCounts,
     delivery_rate_multicast,
     delivery_rate_selection,
     delivery_rate_unicast,
@@ -114,6 +116,14 @@ def _per_sample_selection_rates(m, num_users, above_prob, log_term, gen, samples
         (1000, 0.05, 1000, 1e-6, True),
         (1000, 0.05, 1000, 0.999, True),
         (10**6, 0.5, 300, 0.999, False),
+        # numpy's inversion regime, read off one sorted draw by SelectedCounts
+        (100, 0.83, 2000, 0.1, True),  # fig2 at K = 100: K - inversion(K, 1 - p)
+        (100, 0.17, 2000, 0.1, True),
+        (60, 0.5, 2000, 0.1, True),  # p*K exactly 30: still inversion
+        (100, math.nextafter(0.3, 1.0), 2000, 0.1, True),  # p*K just above 30: BTPE
+        (1, 0.9, 100, 0.1, True),
+        (10**18, 2e-17, 1000, 0.1, True),  # p*K = 20 at the largest K
+        (100, 1.0, 100, 0.1, True),  # inversion(K, 0) flipped
     ],
 )
 def test_selection_rate_samples_equal_the_per_sample_expression(
@@ -121,17 +131,48 @@ def test_selection_rate_samples_equal_the_per_sample_expression(
 ):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        values, counts = selection_rate_samples(
-            m, num_users, above_prob, 123.4, RngStream(11), samples
-        )
         ref_values, ref_counts = _per_sample_selection_rates(
             m, num_users, above_prob, math.log1p(123.4), RngStream(11).generator(), samples
         )
+        draws = SelectedCounts(RngStream(11), samples)
+        # restarted stream, then the shared draw on its first and a later call
+        for shared in (None, draws, draws):
+            values, counts = selection_rate_samples(
+                m, num_users, above_prob, 123.4, RngStream(11), samples, shared
+            )
+            assert values.dtype == np.float64 and values.shape == (samples,)
+            assert values.tobytes() == ref_values.tobytes()
+            assert counts.tobytes() == ref_counts.tobytes()
     # per_count: the counts span fewer values than there are samples
     assert (int(ref_counts.max() - ref_counts.min()) + 1 < samples) == per_count
-    assert values.dtype == np.float64 and values.shape == (samples,)
-    assert values.tobytes() == ref_values.tobytes()
-    assert counts.tobytes() == ref_counts.tobytes()
+
+
+@pytest.mark.parametrize("num_users, above_prob", [(100, 0.83), (100, 0.17), (1, 0.5)])
+def test_selected_counts_fall_back_to_numpy_on_a_close_call(num_users, above_prob, monkeypatch):
+    # a tolerance wider than [0, 1] makes every uniform too close to call,
+    # so every call is numpy's own Generator.binomial on a restarted stream
+    monkeypatch.setattr(caching, "_TOLERANCE_ULPS", 2**60)
+    made = []
+    real = RngStream.generator
+    monkeypatch.setattr(RngStream, "generator", lambda self: made.append(1) or real(self))
+    draws = SelectedCounts(RngStream(11), 500)
+    for _ in range(2):
+        counts = draws.binomial(num_users, above_prob)
+        ref = real(RngStream(11)).binomial(num_users, above_prob, size=500)
+        assert counts.tobytes() == ref.tobytes()
+    # one generator for the shared uniforms, then one per fallback
+    assert len(made) == 3
+
+
+def test_selected_counts_belong_to_one_stream_and_sample_count():
+    draws = SelectedCounts(RngStream(11), 100)
+    for K, above_prob, key in ((0, 0.5, "K"), (2.0, 0.5, "K"), (10, 1.5, "above_prob"),
+                               (10, math.nan, "above_prob")):
+        with pytest.raises(ValueError, match=rf"^{key}: "):
+            draws.binomial(K, above_prob)
+    for rng, samples in ((RngStream(12), 100), (RngStream(11, 1), 100), (RngStream(11), 99)):
+        with pytest.raises(ValueError, match=r"^draws: "):
+            selection_rate_samples(0.1, 10, 0.5, 1.0, rng, samples, draws)
 
 
 def test_selection_rate_samples_needs_a_sample():
@@ -143,6 +184,13 @@ def test_selection_rate_samples_needs_a_sample():
     for threshold in (-1.0, -1e-300, -math.inf):
         with pytest.raises(ValueError, match="threshold must be nonnegative"):
             selection_rate_samples(0.1, 10, 0.5, threshold, RngStream(0), 10)
+    # NaN used to give NaN rates
+    with pytest.raises(ValueError, match=r"^threshold: expected a number, got nan$"):
+        selection_rate_samples(0.1, 10, 0.5, math.nan, RngStream(0), 10)
+    # each used to fail with numpy's unkeyed "p < 0, p > 1 or p is NaN"
+    for above_prob in (math.nan, 1.5, -0.1, True):
+        with pytest.raises(ValueError, match=r"^above_prob: "):
+            selection_rate_samples(0.1, 10, above_prob, 1.0, RngStream(0), 10)
 
 
 @pytest.mark.parametrize("K", [0, -3, 2.0, True, "2"])

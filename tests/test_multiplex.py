@@ -188,6 +188,21 @@ def test_zf_statistics_checks_before_any_generator(scenario, samples, message, m
         assert str(exc.value) == message
 
 
+@pytest.mark.parametrize("s2", [0.0, 0.3, 1.0])
+def test_zf_stats_and_channel_stacks_check_n_on_the_call(s2):
+    # -1 used to reach numpy's "negative dimensions", 2.0 and True its
+    # TypeError, and channel_stacks, a generator, failed only when iterated
+    scenario = cfg(2, 3, 4.0, s2)
+    for n in (-1, 2.0, True):
+        for call in (zf_stats, channel.channel_stacks):
+            gen = RngStream(50).generator()
+            with pytest.raises(ValueError, match=r"^n: "):
+                call(scenario, gen, n)
+            assert gen.random() == RngStream(50).generator().random()  # nothing was drawn
+    assert [a.shape for a in zf_stats(scenario, RngStream(50).generator(), 0)] == [(0, 2)] * 3
+    assert list(channel.channel_stacks(scenario, RngStream(50).generator(), 0)) == []
+
+
 def _zf_stats_peak(s2, K=100, n=30):
     # tracemalloc peak of one zf_stats call, in units of n*K*nt*16 bytes
     scenario = cfg(K, K, 10.0 * K, s2=s2)

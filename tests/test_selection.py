@@ -31,6 +31,14 @@ def test_snr_above_probability():
     assert snr_above_probability(scenario, 0.0) == 1.0
     with pytest.raises(ValueError, match="threshold must be nonnegative"):
         snr_above_probability(scenario, -1.0)
+    # NaN used to report a false "_upper_gamma_cf did not converge"
+    with pytest.raises(ValueError, match=r"^threshold: expected a number, got nan$"):
+        snr_above_probability(scenario, math.nan)
+    selecting = SystemConfig(
+        num_users=3, num_tx_antennas=1, total_power=100.0, normalized_cache=0.1
+    )
+    with pytest.raises(ValueError, match=r"^threshold: expected a number, got nan$"):
+        simulated_selection_rate(selecting, math.nan, RngStream(0), 10)
     assert snr_above_probability(scenario, 50.0) == pytest.approx(math.exp(-0.5), rel=1e-10)
     # multi-antenna tail is the Gamma(nt) survival at nt*s/P
     four = SystemConfig(num_users=3, num_tx_antennas=4, total_power=100.0)
@@ -73,10 +81,14 @@ def test_empirical_threshold_near_closed_form():
     assert s_emp == rerun
 
 
-@pytest.mark.parametrize("num_users, samples", [(200, 300), (1, 50), (10**6, 40)])
-def test_empirical_threshold_is_the_argmax_of_the_simulated_rate(num_users, samples):
-    # the mean-only objective picks the same threshold as the full estimate's mean
-    P = 100.0
+@pytest.mark.parametrize(
+    "num_users, samples, P",
+    [(200, 300, 100.0), (1, 50, 100.0), (10**6, 40, 100.0), (100, 2000, 1000.0)],
+    ids=["200-300", "1-50", "1000000-40", "100-2000-30dB"],
+)
+def test_empirical_threshold_is_the_argmax_of_the_simulated_rate(num_users, samples, P):
+    # the mean-only objective on the search's one shared draw picks the same
+    # threshold as the full estimate's mean on a restarted stream
     scenario = SystemConfig(
         num_users=num_users, num_tx_antennas=1, total_power=P, normalized_cache=0.1
     )
@@ -88,6 +100,27 @@ def test_empirical_threshold_is_the_argmax_of_the_simulated_rate(num_users, samp
         grid_points=41,
     )
     assert empirical_optimal_threshold(scenario, RngStream(7), samples, bracket) == expected
+
+
+def test_threshold_search_draws_its_stream_once(monkeypatch):
+    # K = 100 at 30 dB, as in fig2: the candidates near s* are in numpy's
+    # inversion regime and read the search's one draw; only the BTPE-regime
+    # candidates (min(p, 1 - p) * K > 30) restart the stream
+    K, P = 100, 1000.0
+    scenario = SystemConfig(num_users=K, num_tx_antennas=1, total_power=P, normalized_cache=0.1)
+    made, tails = [], []
+    real_generator, real_sampler = RngStream.generator, selection.selection_rate_samples
+    monkeypatch.setattr(RngStream, "generator", lambda self: made.append(1) or real_generator(self))
+    monkeypatch.setattr(
+        selection,
+        "selection_rate_samples",
+        lambda m, K, above, *rest: tails.append(above) or real_sampler(m, K, above, *rest),
+    )
+    s_star = optimal_threshold_rayleigh(P)
+    empirical_optimal_threshold(scenario, RngStream(7), 2000, (0.3 * s_star, 3.0 * s_star))
+    btpe = sum((p if p <= 0.5 else 1.0 - p) * K > 30.0 for p in tails)
+    assert 0 < btpe < len(tails) / 2
+    assert len(made) <= 1 + btpe
 
 
 def test_empirical_threshold_validation():
