@@ -7,11 +7,11 @@ cache (m = 1) yields an infinite delivery rate by convention.  Threshold
 selection draws through one sampler, `selection_rate_samples`, which every
 selection estimator calls with the tail probability of its channel model.
 
-A threshold search evaluates every candidate on the same restarted stream
-(common random numbers), so its selected-user counts come from one
-`SelectedCounts` per search: it draws the stream's uniforms once and reads
-every candidate's counts off them, equal bit for bit to
-`Generator.binomial` (see `SelectedCounts.binomial`).
+Selected-user counts have one source, `SelectedCounts`, equal bit for bit
+to `Generator.binomial` (see `SelectedCounts.binomial`).  A one-off rate
+makes one per call; a threshold search, which evaluates every candidate on
+the same restarted stream (common random numbers), makes one per search
+and so draws the stream's uniforms once for all its candidates.
 """
 
 from __future__ import annotations
@@ -58,7 +58,7 @@ def delivery_rate_multicast(load: float, multicast_rate: float, num_users: int) 
     """Equivalent content delivery rate (K / T) * r0; +inf when T = 0."""
     check_count("K", num_users)
     if load < 0.0:
-        raise ValueError("load must be nonnegative")
+        raise ValueError(f"load: expected a number >= 0, got {load!r}")
     if load == 0.0:
         return 0.0 if multicast_rate == 0.0 else math.inf
     return num_users * multicast_rate / load
@@ -78,7 +78,19 @@ def _check_threshold(threshold: float) -> None:
     if math.isnan(threshold):
         raise ValueError(f"threshold: expected a number, got {threshold!r}")
     if threshold < 0.0:
-        raise ValueError("threshold must be nonnegative")
+        raise ValueError(f"threshold: expected a number >= 0, got {threshold!r}")
+
+
+def _check_selection_cache(m: float) -> None:
+    """The one selection cache rule: 0 < m < 1, where m/(1-m) is finite and positive."""
+    if not 0.0 < m < 1.0:
+        raise ValueError(f"m: selection requires 0 < m < 1, got {m!r}")
+
+
+def _check_power(total_power: float) -> None:
+    """The one selection power rule: 0 < total_power < inf, so NaN fails too."""
+    if not 0.0 < total_power < math.inf:
+        raise ValueError(f"P_dB: selection requires a finite power > 0, got {total_power!r}")
 
 
 # margin over the 2*(bound + 1) roundings that `SelectedCounts` compares across
@@ -161,41 +173,29 @@ def selection_rate_samples(
     num_users: int,
     above_prob: float,
     threshold: float,
-    rng: RngStream,
-    samples: int,
-    draws: SelectedCounts | None = None,
+    draws: SelectedCounts,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Per-sample delivery rates and selected counts (decentralized load).
 
-    The one selection sampler.  Every call draws the stream of
-    `rng.generator()` from its start, so every threshold of a search sees
-    the same draws (common random numbers); a search passes one
-    `SelectedCounts` of (rng, samples) as `draws`, which draws the stream
-    once for all its calls and returns the same counts.  Each sample draws
-    the binomial number of selected users n, each above the threshold with
-    probability `above_prob`, and takes (m/(1-m)) * n / (1 - (1-m)^n) *
-    ln(1 + s), with the empty-selection samples contributing zero.  The
-    expression is evaluated once per count in [min n, max n] and gathered
-    by count when that range is narrower than the sample count (a few
-    hundred counts against 10^4 samples at fig2's defaults), else once per
-    sample; each value is the same float either way.
+    The one selection sampler.  Its counts are `draws.binomial(num_users,
+    above_prob)`, which reads the stream of `draws.rng` from its start, so
+    every threshold of a search that passes one `draws` sees the same
+    counts (common random numbers).  Each sample draws the binomial number
+    of selected users n, each above the threshold with probability
+    `above_prob`, and takes (m/(1-m)) * n / (1 - (1-m)^n) * ln(1 + s), with
+    the empty-selection samples contributing zero.  The expression is
+    evaluated once per count in [min n, max n] and gathered by count when
+    that range is narrower than the sample count (a few hundred counts
+    against 10^4 samples at fig2's defaults), else once per sample; each
+    value is the same float either way.
     """
     _check_threshold(threshold)
-    if not 0.0 < m < 1.0:
-        raise ValueError(f"m: selection requires 0 < m < 1, got {m!r}")
-    check_count("K", num_users)
-    check_fraction("above_prob", above_prob)
-    check_count("samples", samples)
-    if draws is None:
-        counts = rng.generator().binomial(num_users, above_prob, size=samples)
-    elif draws.rng != rng or draws.samples != samples:
-        raise ValueError("draws: a SelectedCounts of another stream or sample count")
-    else:
-        counts = draws.binomial(num_users, above_prob)
+    _check_selection_cache(m)
+    counts = draws.binomial(num_users, above_prob)
     log_term = math.log1p(threshold)
     lo = int(counts.min())
     width = int(counts.max()) - lo + 1
-    if width < samples:
+    if width < draws.samples:
         return _selection_rates(m, np.arange(lo, lo + width), log_term)[counts - lo], counts
     return _selection_rates(m, counts, log_term), counts
 
@@ -223,9 +223,8 @@ def delivery_rate_selection(
     decentralized load, exactly as the finite-K expectation is written; the
     s = 0 threshold gives rate 0 through the vanishing log factor.
     """
-    if total_power <= 0.0:
-        raise ValueError("total_power must be positive")
+    _check_power(total_power)
     # the sampler rejects s < 0; the clamp only keeps exp from overflowing first
     above = math.exp(-max(threshold, 0.0) / total_power)
-    values, _ = selection_rate_samples(m, num_users, above, threshold, rng, samples)
+    values, _ = selection_rate_samples(m, num_users, above, threshold, SelectedCounts(rng, samples))
     return RateEstimate.from_values(values)

@@ -4,9 +4,10 @@ The base station multicasts at ln(1 + s) to the users whose instantaneous
 SNR clears the threshold s; for Rayleigh SNR the rate-maximizing threshold
 has the closed form s* = P / W(P) - 1.  All thresholds here are linear SNR.
 The estimators pass the Gamma SNR tail to `caching.selection_rate_samples`,
-the one selection sampler.  Every call sees the stream from its start; a
-threshold search draws it once, through one `caching.SelectedCounts` shared
-by all its candidates, whose counts equal numpy's binomial bit for bit.
+the one selection sampler, with a `caching.SelectedCounts`, the one source
+of selected-user counts: a fixed threshold makes one for its call, and a
+threshold search draws its stream once, into one shared by all its
+candidates.  Either way the counts equal numpy's binomial bit for bit.
 """
 
 from __future__ import annotations
@@ -14,7 +15,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Tuple
 
-from .caching import SelectedCounts, _check_threshold, selection_rate_samples
+from .caching import (SelectedCounts, _check_power, _check_selection_cache, _check_threshold,
+                      selection_rate_samples)
 from .channel import RngStream, SystemConfig
 from .mathx import ToleranceSpec, lambert_w, maximize_1d, reg_upper_gamma
 from .results import RateEstimate
@@ -41,8 +43,7 @@ _SEARCH_TOL = ToleranceSpec(rel_tol=1e-4, abs_tol=1e-6, max_iter=60)
 
 def optimal_threshold_rayleigh(total_power: float) -> float:
     """Closed-form maximizer of exp(-s/P) ln(1 + s): s* = P / W(P) - 1."""
-    if total_power <= 0.0:
-        raise ValueError("total_power must be positive")
+    _check_power(total_power)
     return total_power / lambert_w(total_power) - 1.0
 
 
@@ -55,9 +56,8 @@ def snr_above_probability(cfg: SystemConfig, threshold: float) -> float:
 
 def validate_selection_config(cfg: SystemConfig) -> None:
     """The one threshold-selection scenario rule, keyed: 0 < m < 1 on the quasi-static channel."""
-    m, L = cfg.normalized_cache, cfg.num_subchannels
-    if not 0.0 < m < 1.0:
-        raise ValueError(f"m: selection requires 0 < m < 1, got {m!r}")
+    _check_selection_cache(cfg.normalized_cache)
+    L = cfg.num_subchannels
     if L != 1:
         raise ValueError(f"L: selection runs on the quasi-static channel (L = 1), got {L!r}")
 
@@ -76,7 +76,7 @@ def simulated_selection_rate(
     validate_selection_config(cfg)
     above = snr_above_probability(cfg, threshold)
     values, counts = selection_rate_samples(
-        cfg.normalized_cache, cfg.num_users, above, threshold, rng, samples
+        cfg.normalized_cache, cfg.num_users, above, threshold, SelectedCounts(rng, samples)
     )
     return SelectionEstimate(
         rate=RateEstimate.from_values(values),
@@ -107,7 +107,7 @@ def empirical_optimal_threshold(
 
     def rate_at(s: float) -> float:
         above = snr_above_probability(cfg, s)
-        return float(selection_rate_samples(m, K, above, s, rng, samples, draws)[0].mean())
+        return float(selection_rate_samples(m, K, above, s, draws)[0].mean())
 
     best_s, _ = maximize_1d(rate_at, bracket[0], bracket[1], tol=_SEARCH_TOL, grid_points=41)
     return best_s

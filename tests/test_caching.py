@@ -59,7 +59,7 @@ def test_delivery_rate_multicast_conventions():
     assert delivery_rate_multicast(2.0, 1.0, 10) == pytest.approx(5.0)
     assert delivery_rate_multicast(0.0, 1.0, 10) == math.inf
     assert delivery_rate_multicast(0.0, 0.0, 10) == 0.0
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^load: expected a number >= 0, got -1\.0$"):
         delivery_rate_multicast(-1.0, 1.0, 10)
 
 
@@ -75,11 +75,11 @@ def test_delivery_rate_selection_basics():
     again = delivery_rate_selection(0.05, 100.0, 1000.0, 200, RngStream(3), 20_000)
     assert est.mean == again.mean
     for threshold in (-1.0, -1e6):  # -1e6 / P would overflow exp before the check
-        with pytest.raises(ValueError, match="threshold must be nonnegative"):
+        with pytest.raises(ValueError, match="threshold: expected a number >= 0"):
             delivery_rate_selection(0.05, threshold, 1000.0, 200, RngStream(3), 100)
     with pytest.raises(ValueError):
         delivery_rate_selection(0.0, 1.0, 1000.0, 200, RngStream(3), 100)
-    with pytest.raises(ValueError, match=r"^total_power must be positive$"):
+    with pytest.raises(ValueError, match=r"^P_dB: selection requires a finite power > 0, got 0\.0$"):
         delivery_rate_selection(0.05, 1.0, 0.0, 200, RngStream(3), 100)
 
 
@@ -134,12 +134,10 @@ def test_selection_rate_samples_equal_the_per_sample_expression(
         ref_values, ref_counts = _per_sample_selection_rates(
             m, num_users, above_prob, math.log1p(123.4), RngStream(11).generator(), samples
         )
-        draws = SelectedCounts(RngStream(11), samples)
-        # restarted stream, then the shared draw on its first and a later call
-        for shared in (None, draws, draws):
-            values, counts = selection_rate_samples(
-                m, num_users, above_prob, 123.4, RngStream(11), samples, shared
-            )
+        shared = SelectedCounts(RngStream(11), samples)
+        # a one-off draw, then a search's shared draw on its first and a later call
+        for draws in (SelectedCounts(RngStream(11), samples), shared, shared):
+            values, counts = selection_rate_samples(m, num_users, above_prob, 123.4, draws)
             assert values.dtype == np.float64 and values.shape == (samples,)
             assert values.tobytes() == ref_values.tobytes()
             assert counts.tobytes() == ref_counts.tobytes()
@@ -164,40 +162,37 @@ def test_selected_counts_fall_back_to_numpy_on_a_close_call(num_users, above_pro
     assert len(made) == 3
 
 
-def test_selected_counts_belong_to_one_stream_and_sample_count():
+def test_selected_counts_check_k_and_above_prob_by_key():
     draws = SelectedCounts(RngStream(11), 100)
     for K, above_prob, key in ((0, 0.5, "K"), (2.0, 0.5, "K"), (10, 1.5, "above_prob"),
                                (10, math.nan, "above_prob")):
         with pytest.raises(ValueError, match=rf"^{key}: "):
             draws.binomial(K, above_prob)
-    for rng, samples in ((RngStream(12), 100), (RngStream(11, 1), 100), (RngStream(11), 99)):
-        with pytest.raises(ValueError, match=r"^draws: "):
-            selection_rate_samples(0.1, 10, 0.5, 1.0, rng, samples, draws)
 
 
 def test_selection_rate_samples_needs_a_sample():
     for samples in (0, -3):
         expected = rf"^samples: expected an integer >= 1, got {samples}$"
         with pytest.raises(ValueError, match=expected):
-            selection_rate_samples(0.1, 10, 0.5, 1.0, RngStream(0), samples)
+            SelectedCounts(RngStream(0), samples)
     # the sampler checks the threshold itself, whatever tail its caller passed
     for threshold in (-1.0, -1e-300, -math.inf):
-        with pytest.raises(ValueError, match="threshold must be nonnegative"):
-            selection_rate_samples(0.1, 10, 0.5, threshold, RngStream(0), 10)
+        with pytest.raises(ValueError, match="threshold: expected a number >= 0"):
+            selection_rate_samples(0.1, 10, 0.5, threshold, SelectedCounts(RngStream(0), 10))
     # NaN used to give NaN rates
     with pytest.raises(ValueError, match=r"^threshold: expected a number, got nan$"):
-        selection_rate_samples(0.1, 10, 0.5, math.nan, RngStream(0), 10)
+        selection_rate_samples(0.1, 10, 0.5, math.nan, SelectedCounts(RngStream(0), 10))
     # each used to fail with numpy's unkeyed "p < 0, p > 1 or p is NaN"
     for above_prob in (math.nan, 1.5, -0.1, True):
         with pytest.raises(ValueError, match=r"^above_prob: "):
-            selection_rate_samples(0.1, 10, above_prob, 1.0, RngStream(0), 10)
+            selection_rate_samples(0.1, 10, above_prob, 1.0, SelectedCounts(RngStream(0), 10))
 
 
 @pytest.mark.parametrize("K", [0, -3, 2.0, True, "2"])
 @pytest.mark.parametrize(
     "call",
     [
-        lambda K: selection_rate_samples(0.1, K, 0.5, 1.0, RngStream(0), 10),
+        lambda K: selection_rate_samples(0.1, K, 0.5, 1.0, SelectedCounts(RngStream(0), 10)),
         lambda K: delivery_rate_selection(0.1, 1.0, 10.0, K, RngStream(0), 10),
         lambda K: delivery_rate_unicast(0.1, 1.0, K),
         lambda K: delivery_rate_multicast(2.0, 1.0, K),

@@ -6,7 +6,12 @@ import numpy as np
 import pytest
 
 from cachecast import channel
-from cachecast.caching import delivery_rate_unicast, selection_rate_samples, transmissions
+from cachecast.caching import (
+    SelectedCounts,
+    delivery_rate_unicast,
+    selection_rate_samples,
+    transmissions,
+)
 from cachecast.channel import (
     RngStream,
     SystemConfig,
@@ -99,8 +104,8 @@ def test_value_rules_name_their_key_and_bounds():
         (lambda: transmissions("decentralized", 0.1, 0), "K"),
         (lambda: transmissions("centralized", 1.5, 4), "m"),
         (lambda: delivery_rate_unicast(-0.1, 1.0, 4), "m"),
-        (lambda: selection_rate_samples(0.1, 4, 0.5, 1.0, RngStream(0), 0), "samples"),
-        (lambda: selection_rate_samples(1.0, 4, 0.5, 1.0, RngStream(0), 10), "m"),
+        (lambda: selection_rate_samples(0.1, 4, 0.5, 1.0, SelectedCounts(RngStream(0), 0)), "samples"),
+        (lambda: selection_rate_samples(1.0, 4, 0.5, 1.0, SelectedCounts(RngStream(0), 10)), "m"),
         (lambda: sample_batches(RngStream(0), 2**63, 1), "samples"),
         (lambda: min_norm_statistic(0, 2, RngStream(0), 10), "nt"),
         (lambda: min_norm_statistic(2, 0, RngStream(0), 10), "K"),

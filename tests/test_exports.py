@@ -1,6 +1,8 @@
 import importlib
+import inspect
 import os
 import pkgutil
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -41,3 +43,13 @@ def test_only_channel_knows_the_batch_partition_and_draw_order(module):
     # channel_stacks, so that a change of batching or draw order is made in channel alone
     mod = importlib.import_module(f"cachecast.{module}")
     assert not {"sample_batches", "scalars_per_draw", "_complex_normal"} & set(vars(mod))
+
+
+def test_only_selected_counts_draws_a_binomial():
+    # every selected-user count comes from caching.SelectedCounts: outside the
+    # class, `.binomial(` is only ever asked of one (`draws`), so that a second
+    # counts path beside it cannot return unnoticed
+    owner = inspect.getsource(cachecast.caching.SelectedCounts)
+    for path in sorted(Path(cachecast.__file__).parent.glob("*.py")):
+        source = path.read_text().replace(owner, "")
+        assert not re.findall(r"^.*(?<!\bdraws)\.binomial\(.*$", source, re.M), path.name

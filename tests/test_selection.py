@@ -3,6 +3,7 @@ import math
 import pytest
 
 from cachecast import selection
+from cachecast.caching import delivery_rate_selection
 from cachecast.channel import RngStream, SystemConfig
 from cachecast.mathx import lambert_w, maximize_1d
 from cachecast.selection import (
@@ -26,10 +27,26 @@ def test_closed_form_is_stationary():
         optimal_threshold_rayleigh(0.0)
 
 
+@pytest.mark.parametrize("power", [0.0, -1.0, math.nan, math.inf])
+@pytest.mark.parametrize(
+    "call",
+    [
+        optimal_threshold_rayleigh,
+        lambda P: delivery_rate_selection(0.1, 1.0, P, 10, RngStream(0), 10),
+    ],
+    ids=["closed_form", "delivery_rate"],
+)
+def test_both_selection_power_entries_share_one_keyed_rule(call, power):
+    # an infinite power used to give a delivery rate (1.18 at m = 0.1, K = 10), and a
+    # NaN one failed as above_prob or inside lambert_w
+    with pytest.raises(ValueError, match=r"^P_dB: "):
+        call(power)
+
+
 def test_snr_above_probability():
     scenario = SystemConfig(num_users=3, num_tx_antennas=1, total_power=100.0)
     assert snr_above_probability(scenario, 0.0) == 1.0
-    with pytest.raises(ValueError, match="threshold must be nonnegative"):
+    with pytest.raises(ValueError, match="threshold: expected a number >= 0"):
         snr_above_probability(scenario, -1.0)
     # NaN used to report a false "_upper_gamma_cf did not converge"
     with pytest.raises(ValueError, match=r"^threshold: expected a number, got nan$"):
@@ -130,7 +147,7 @@ def test_empirical_threshold_validation():
     with pytest.raises(ValueError, match="L = 1"):
         empirical_optimal_threshold(multi, RngStream(0), 10, bracket=(1.0, 5.0))
     single = SystemConfig(num_users=4, num_tx_antennas=1, total_power=10.0, normalized_cache=0.1)
-    with pytest.raises(ValueError, match="nonnegative"):
+    with pytest.raises(ValueError, match="threshold: expected a number >= 0"):
         empirical_optimal_threshold(single, RngStream(0), 10, bracket=(-1.0, 5.0))
 
 
