@@ -20,7 +20,7 @@ import math
 
 import numpy as np
 
-from .channel import RngStream, _check_placement, check_count, check_fraction
+from .channel import RngStream, _check_placement, check_count, check_number
 from .results import RateEstimate
 
 __all__ = [
@@ -40,7 +40,7 @@ def transmissions(placement: str, m: float, num_users: int) -> float:
     (1 - m)(1 - (1 - m)^K) / m, with the m -> 0 limit K and the m -> 1
     limit 0 applied by continuity.
     """
-    check_fraction("m", m)
+    check_number("m", m)
     check_count("K", num_users)
     _check_placement(placement)
     K = num_users
@@ -56,9 +56,9 @@ def transmissions(placement: str, m: float, num_users: int) -> float:
 
 def delivery_rate_multicast(load: float, multicast_rate: float, num_users: int) -> float:
     """Equivalent content delivery rate (K / T) * r0; +inf when T = 0."""
+    check_number("load", load, 0.0, math.inf)
+    check_number("multicast_rate", multicast_rate, 0.0, math.inf)
     check_count("K", num_users)
-    if load < 0.0:
-        raise ValueError(f"load: expected a number >= 0, got {load!r}")
     if load == 0.0:
         return 0.0 if multicast_rate == 0.0 else math.inf
     return num_users * multicast_rate / load
@@ -66,31 +66,12 @@ def delivery_rate_multicast(load: float, multicast_rate: float, num_users: int) 
 
 def delivery_rate_unicast(m: float, symmetric_rate: float, num_users: int) -> float:
     """Equivalent content delivery rate K * rsym / (1 - m); +inf at m = 1."""
-    check_fraction("m", m)
+    check_number("m", m)
+    check_number("symmetric_rate", symmetric_rate, 0.0, math.inf)
     check_count("K", num_users)
     if m == 1.0:
         return 0.0 if symmetric_rate == 0.0 else math.inf
     return num_users * symmetric_rate / (1.0 - m)
-
-
-def _check_threshold(threshold: float) -> None:
-    """The one threshold rule: a linear SNR, not NaN, at least 0."""
-    if math.isnan(threshold):
-        raise ValueError(f"threshold: expected a number, got {threshold!r}")
-    if threshold < 0.0:
-        raise ValueError(f"threshold: expected a number >= 0, got {threshold!r}")
-
-
-def _check_selection_cache(m: float) -> None:
-    """The one selection cache rule: 0 < m < 1, where m/(1-m) is finite and positive."""
-    if not 0.0 < m < 1.0:
-        raise ValueError(f"m: selection requires 0 < m < 1, got {m!r}")
-
-
-def _check_power(total_power: float) -> None:
-    """The one selection power rule: 0 < total_power < inf, so NaN fails too."""
-    if not 0.0 < total_power < math.inf:
-        raise ValueError(f"P_dB: selection requires a finite power > 0, got {total_power!r}")
 
 
 # margin over the 2*(bound + 1) roundings that `SelectedCounts` compares across
@@ -132,7 +113,7 @@ class SelectedCounts:
     def binomial(self, num_users: int, above_prob: float) -> np.ndarray:
         """`self.rng.generator().binomial(num_users, above_prob, size=self.samples)`."""
         check_count("K", num_users)
-        check_fraction("above_prob", above_prob)
+        check_number("above_prob", above_prob)
         flip = above_prob > 0.5
         p = 1.0 - above_prob if flip else above_prob
         if above_prob != 0.0 and p * num_users <= 30.0:
@@ -189,8 +170,8 @@ def selection_rate_samples(
     against 10^4 samples at fig2's defaults), else once per sample; each
     value is the same float either way.
     """
-    _check_threshold(threshold)
-    _check_selection_cache(m)
+    check_number("threshold", threshold, 0.0, math.inf)
+    check_number("m", m, open=True)
     counts = draws.binomial(num_users, above_prob)
     log_term = math.log1p(threshold)
     lo = int(counts.min())
@@ -223,8 +204,8 @@ def delivery_rate_selection(
     decentralized load, exactly as the finite-K expectation is written; the
     s = 0 threshold gives rate 0 through the vanishing log factor.
     """
-    _check_power(total_power)
-    # the sampler rejects s < 0; the clamp only keeps exp from overflowing first
-    above = math.exp(-max(threshold, 0.0) / total_power)
+    check_number("threshold", threshold, 0.0, math.inf)
+    check_number("P_dB", total_power, 0.0, math.inf, open=True)
+    above = math.exp(-threshold / total_power)
     values, _ = selection_rate_samples(m, num_users, above, threshold, SelectedCounts(rng, samples))
     return RateEstimate.from_values(values)

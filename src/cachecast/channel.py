@@ -20,7 +20,8 @@ from .results import RateEstimate
 __all__ = [
     "SystemConfig",
     "check_count",
-    "check_fraction",
+    "check_number",
+    "check_quasistatic",
     "RngStream",
     "draw_channel_batch",
     "channel_stacks",
@@ -65,12 +66,30 @@ def check_count(key: str, value, lo: int = 1, hi: int = 2**63) -> None:
         raise ValueError(f"{key}: expected an integer, got {value!r}")
 
 
-def check_fraction(key: str, value) -> None:
-    """The one fraction rule, keyed: a number, not a bool, in [0, 1]."""
+def check_number(key: str, value, lo: float = 0.0, hi: float = 1.0, open: bool = False) -> None:
+    """The one real-number rule, keyed: a real number, not a bool, finite, in [lo, hi].
+
+    With `open` the range is (lo, hi); the defaults make it the fraction rule.
+    Finite means within the float range: NaN, +-inf and an int too large for
+    a float fail.
+    """
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise ValueError(f"{key}: expected a number, got {value!r}")
-    if not 0.0 <= value <= 1.0:
-        raise ValueError(f"{key}: expected a value in [0, 1], got {value!r}")
+    try:
+        inside = (lo < value < hi if open else lo <= value <= hi) and math.isfinite(value)
+    except OverflowError:  # an int beyond the float range
+        inside = False
+    if not inside:
+        left, right = "(" if open or lo == -math.inf else "[", ")" if open or hi == math.inf else "]"
+        ends = ", ".join(repr(float(x)).removesuffix(".0") for x in (lo, hi))  # [0, 1], not [0.0, 1.0]
+        raise ValueError(f"{key}: expected a value in {left}{ends}{right}, got {value!r}")
+
+
+def check_quasistatic(cfg: SystemConfig, what: str) -> None:
+    """The one quasi-static rule, keyed: `what` runs on one sub-channel (L = 1)."""
+    L = cfg.num_subchannels
+    if L != 1:
+        raise ValueError(f"L: {what} runs on the quasi-static channel (L = 1), got {L!r}")
 
 
 def _check_placement(placement) -> None:
@@ -95,10 +114,9 @@ class SystemConfig:
         check_count("K", self.num_users)
         check_count("nt", self.num_tx_antennas)
         check_count("L", self.num_subchannels)
-        if not 0.0 <= self.total_power < math.inf:
-            raise ValueError(f"P_dB: total_power must be finite and nonnegative, got {self.total_power}")
-        check_fraction("m", self.normalized_cache)
-        check_fraction("sigma2", self.csit_error_var)
+        check_number("P_dB", self.total_power, 0.0, math.inf)
+        check_number("m", self.normalized_cache)
+        check_number("sigma2", self.csit_error_var)
         _check_placement(self.placement)
 
 

@@ -14,11 +14,12 @@ import contextlib
 import ctypes
 import functools
 import json
+import math
 import sys
 from typing import Optional
 
 from . import mixed, selection
-from .channel import RngStream, check_count
+from .channel import RngStream, check_count, check_number
 from .experiments import (
     FIG345_SAMPLES,
     FIG345_USERS,
@@ -157,10 +158,7 @@ def _value(key: str, value, kind: str):
         if not isinstance(value, str):
             raise ValueError(f"{key}: expected a string, got {value!r}")
         return value
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ValueError(f"{key}: expected a number, got {value!r}")
-    if not abs(value) <= sys.float_info.max:
-        raise ValueError(f"{key}: expected a finite number, got {value!r}")
+    check_number(key, value, -math.inf, math.inf)
     if kind in ("int", "count"):
         if value != int(value):
             raise ValueError(f"{key}: expected an integer, got {value!r}")

@@ -56,15 +56,14 @@ CSV_SCHEMA = "cachecast-sweep-v1"
 
 
 def db_to_linear(x_db: float) -> float:
-    """10^(x_db / 10); a NaN P_dB, or one whose power overflows or underflows a float, is a config error."""
+    """10^(x_db / 10); a P_dB that is no finite number, or whose power overflows or underflows, fails."""
+    channel.check_number("P_dB", x_db, -math.inf, math.inf)
     try:
         power = 10.0 ** (x_db / 10.0)
     except OverflowError:
         raise ValueError(f"P_dB: {x_db!r} dB is beyond the float range") from None
     if power == 0.0:
         raise ValueError(f"P_dB: {x_db!r} dB underflows to zero power")
-    if math.isnan(power):
-        raise ValueError(f"P_dB: expected a number, got {x_db!r}")
     return power
 
 
@@ -278,9 +277,8 @@ FIG345_SAMPLES = 200
 
 def fig345_config(per_user_p_db: float, m: float, num_users: int = FIG345_USERS) -> SystemConfig:
     """Numerics preset: nt = K, fixed per-user power, sigma2 = (P/K)^-1."""
+    channel.check_number("P_dB", per_user_p_db, 0.0, math.inf)  # sigma2 = 1/p needs p >= 1
     per_user = db_to_linear(per_user_p_db)
-    if not per_user >= 1.0:
-        raise ValueError(f"P_dB: sigma2 = 1/p needs a per-user power >= 0 dB, got {per_user_p_db!r}")
     total = per_user * num_users
     if total == math.inf:
         raise ValueError(f"P_dB: {per_user_p_db!r} dB times K = {num_users} is beyond the float range")

@@ -15,7 +15,7 @@ from typing import Tuple
 import numpy as np
 
 from .caching import delivery_rate_multicast, delivery_rate_unicast, transmissions
-from .channel import RngStream, SystemConfig, check_count
+from .channel import RngStream, SystemConfig, check_count, check_number
 from .mathx import DEFAULT_TOL, ToleranceSpec, maximize_1d
 from .multiplex import private_rate_values, validate_zf_config, zf_statistics
 from .results import check_finite_rates, rates_overflow_by_power
@@ -48,8 +48,7 @@ class PowerSplit:
 
     @classmethod
     def compute(cls, cfg: SystemConfig, common_power: float) -> "PowerSplit":
-        if not 0.0 <= common_power <= cfg.total_power:
-            raise ValueError("common_power must lie in [0, total_power]")
+        check_number("common_power", common_power, 0.0, cfg.total_power)
         nt, K, s2 = cfg.num_tx_antennas, cfg.num_users, cfg.csit_error_var
         ip = (K - 1) * s2 / K
         ic = ((nt - K + 1) * (1.0 - s2) + (K - 1) * s2) / K
@@ -222,20 +221,20 @@ def optimal_split_closed_form(cfg: SystemConfig) -> float:
     P - P0 = ((-(1-m)(1+Ic P) + T (Ic-Ip)(1+P)) /
               ((1-m) Ip (1+Ic P) - T Ic (Ic-Ip)))^+,
     with negative prescriptions meaning all power to the common stream.
-    Requires a strictly informative estimate (Ic > Ip) and a nondegenerate
-    denominator.
+    Requires a config that passes `validate_zf_config`, an informative
+    estimate (sigma2 < 1) and a nondegenerate denominator.
     """
-    nt, K, s2, P = cfg.num_tx_antennas, cfg.num_users, cfg.csit_error_var, cfg.total_power
-    m = cfg.normalized_cache
-    if (nt - K + 1) * (1.0 - s2) <= 0.0:
-        raise ValueError("closed-form split needs (nt - K + 1)(1 - sigma2) > 0")
+    validate_zf_config(cfg)
+    K, s2, P, m = cfg.num_users, cfg.csit_error_var, cfg.total_power, cfg.normalized_cache
+    if s2 == 1.0:
+        raise ValueError(f"sigma2: the closed-form split needs an informative estimate (sigma2 < 1), got {s2!r}")
     split = PowerSplit.compute(cfg, 0.0)
     ic, ip = split.interference_common, split.interference_private
     load = transmissions(cfg.placement, m, K)
     num = -(1.0 - m) * (1.0 + ic * P) + load * (ic - ip) * (1.0 + P)
     den = (1.0 - m) * ip * (1.0 + ic * P) - load * ic * (ic - ip)
     if abs(den) <= DEFAULT_TOL.abs_tol:
-        raise ValueError("degenerate split denominator; use the numeric optimizer")
+        raise ValueError(f"m: the closed-form split's denominator vanishes at {m!r}; use the numeric optimizer")
     private_total = max(num / den, 0.0)
     return min(max(P - private_total, 0.0), P)
 

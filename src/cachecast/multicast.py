@@ -19,6 +19,8 @@ import numpy as np
 from .channel import (
     RngStream,
     SystemConfig,
+    check_count,
+    check_quasistatic,
     draw_channel_batch,  # not called here; bench/test_bench.py checks this binding is traced
     draw_stacks,
     squared_row_norms,
@@ -37,6 +39,8 @@ __all__ = [
 
 def extreme_value_scale(nt: int, num_users: int) -> float:
     """a_K = nt * (K / nt!)^(1/nt), evaluated in log space."""
+    check_count("nt", nt)
+    check_count("K", num_users)
     return nt * math.exp((math.log(num_users) - math.lgamma(nt + 1)) / nt)
 
 
@@ -62,9 +66,7 @@ def avg_rate_parallel(cfg: SystemConfig, rng: RngStream, samples: int) -> RateEs
 
 def avg_rate_quasistatic(cfg: SystemConfig, rng: RngStream, samples: int) -> RateEstimate:
     """MC mean of ln(1 + (P/nt) min_k ||H_k||^2); quasi-static (L = 1) only."""
-    L = cfg.num_subchannels
-    if L != 1:
-        raise ValueError(f"L: the quasi-static rate runs on one sub-channel (L = 1), got {L!r}")
+    check_quasistatic(cfg, "avg_rate_quasistatic")
     return avg_rate_parallel(cfg, rng, samples)
 
 

@@ -21,6 +21,7 @@ from .channel import (
     RngStream,
     SystemConfig,
     channel_stacks,
+    check_quasistatic,
     draw_channel_batch,  # not called here; bench/test_bench.py checks this binding is traced
     draw_stacks,
     squared_row_norms,
@@ -106,7 +107,7 @@ def build_zf_precoder(est_h: np.ndarray) -> ZfPrecoder:
     """
     est_h = np.asarray(est_h, dtype=np.complex128)
     if est_h.ndim != 2:
-        raise ValueError("estimated channel must be a (K, nt) matrix")
+        raise ValueError(f"est_h: expected a (K, nt) matrix, got shape {est_h.shape}")
     return ZfPrecoder(columns=zf_beams(est_h)[0])
 
 
@@ -117,9 +118,7 @@ def validate_zf_config(cfg: SystemConfig) -> None:
     leads with the config key the CLI reads.
     """
     _check_nt(cfg.num_users, cfg.num_tx_antennas)
-    L = cfg.num_subchannels
-    if L != 1:
-        raise ValueError(f"L: zero forcing runs on the quasi-static channel (L = 1), got {L!r}")
+    check_quasistatic(cfg, "zero forcing")
 
 
 def _check_nt(K: int, nt: int) -> None:

@@ -51,7 +51,7 @@ class RateEstimate:
         values = np.asarray(values, dtype=np.float64)
         n = values.size
         if n == 0:
-            raise ValueError("need at least one sample")
+            raise ValueError("samples: need at least one sample")
         check_finite_rates(values)
         mean = float(values.mean())
         std_err = float(values.std(ddof=1) / math.sqrt(n)) if n > 1 else 0.0

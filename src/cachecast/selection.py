@@ -12,12 +12,12 @@ candidates.  Either way the counts equal numpy's binomial bit for bit.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Tuple
 
-from .caching import (SelectedCounts, _check_power, _check_selection_cache, _check_threshold,
-                      selection_rate_samples)
-from .channel import RngStream, SystemConfig
+from .caching import SelectedCounts, selection_rate_samples
+from .channel import RngStream, SystemConfig, check_number, check_quasistatic
 from .mathx import ToleranceSpec, lambert_w, maximize_1d, reg_upper_gamma
 from .results import RateEstimate
 
@@ -43,23 +43,21 @@ _SEARCH_TOL = ToleranceSpec(rel_tol=1e-4, abs_tol=1e-6, max_iter=60)
 
 def optimal_threshold_rayleigh(total_power: float) -> float:
     """Closed-form maximizer of exp(-s/P) ln(1 + s): s* = P / W(P) - 1."""
-    _check_power(total_power)
+    check_number("P_dB", total_power, 0.0, math.inf, open=True)
     return total_power / lambert_w(total_power) - 1.0
 
 
 def snr_above_probability(cfg: SystemConfig, threshold: float) -> float:
     """P(snr >= s) for the Gamma-distributed per-user SNR; 1.0 at s = 0."""
-    _check_threshold(threshold)
+    check_number("threshold", threshold, 0.0, math.inf)
     nt = cfg.num_tx_antennas
     return reg_upper_gamma(nt, nt * threshold / cfg.total_power)
 
 
 def validate_selection_config(cfg: SystemConfig) -> None:
     """The one threshold-selection scenario rule, keyed: 0 < m < 1 on the quasi-static channel."""
-    _check_selection_cache(cfg.normalized_cache)
-    L = cfg.num_subchannels
-    if L != 1:
-        raise ValueError(f"L: selection runs on the quasi-static channel (L = 1), got {L!r}")
+    check_number("m", cfg.normalized_cache, open=True)
+    check_quasistatic(cfg, "selection")
 
 
 def simulated_selection_rate(
@@ -99,9 +97,11 @@ def empirical_optimal_threshold(
     restarted `rng.generator().binomial` bit for bit.  The objective
     is the sample mean alone, the same float as
     `simulated_selection_rate(...).rate.mean`, and the scenario rule is
-    checked once; a negative bracket raises at its first candidate, bracket[0].
+    checked once.  The bracket must satisfy 0 <= bracket[0] < bracket[1] < inf.
     """
     validate_selection_config(cfg)
+    check_number("bracket", bracket[0], 0.0, math.inf)
+    check_number("bracket", bracket[1], bracket[0], math.inf, open=True)
     m, K = cfg.normalized_cache, cfg.num_users
     draws = SelectedCounts(rng, samples)
 

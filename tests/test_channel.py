@@ -18,7 +18,7 @@ from cachecast.channel import (
     _complex_normal,
     channel_stacks,
     check_count,
-    check_fraction,
+    check_number,
     draw_channel_batch,
     draw_stacks,
     exact_min_mean,
@@ -32,6 +32,7 @@ from cachecast.mixed import (
     PowerSplit,
     mixed_rates_asymptotic,
     mixed_rates_mc,
+    optimal_split_closed_form,
     optimal_split_numeric,
 )
 from cachecast.multicast import avg_rate_parallel, avg_rate_quasistatic, parallel_rate_bounds
@@ -48,7 +49,7 @@ from cachecast.multiplex import (
 def test_config_validation():
     # the other fields are checked, with their keys, below
     for power in (-1.0, math.nan, math.inf):
-        with pytest.raises(ValueError, match="^P_dB: total_power must be finite and nonnegative"):
+        with pytest.raises(ValueError, match=r"^P_dB: expected a value in \[0, inf\), got "):
             SystemConfig(num_users=1, num_tx_antennas=1, total_power=power)
 
 
@@ -87,15 +88,32 @@ def test_value_rules_name_their_key_and_bounds():
             check_count("n", value)
         assert str(exc.value) == f"n: expected an integer{rule}, got {value!r}"
     for value in (0.0, 0.5, 1.0, 0, 1, np.int64(0), np.float32(0.5)):
-        check_fraction("x", value)
+        check_number("x", value)
     for value in (-1e-300, 1.5, math.nan):
         with pytest.raises(ValueError) as exc:
-            check_fraction("x", value)
+            check_number("x", value)
         assert str(exc.value) == f"x: expected a value in [0, 1], got {value!r}"
     for value in (True, False, "0.5", None, np.bool_(True)):
         with pytest.raises(ValueError) as exc:
-            check_fraction("x", value)
+            check_number("x", value)
         assert str(exc.value) == f"x: expected a number, got {value!r}"
+
+
+def test_the_number_rule_prints_its_range():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a numpy float32 passes, and fails, with no numpy warning
+        check_number("x", np.float32(0.5), -1.0, 1.0)
+        for value, lo, hi, is_open, expected in (
+            (0.0, 0.0, math.inf, True, "(0, inf)"),
+            (math.inf, 0.0, math.inf, False, "[0, inf)"),
+            (2.5, 0.0, 2.0, False, "[0, 2]"),
+            (1.0, 0.25, 1.0, True, "(0.25, 1)"),
+            (np.float32(2.0), -1.0, 1.0, False, "[-1, 1]"),
+            (10**400, -math.inf, math.inf, False, "(-inf, inf)"),
+        ):
+            with pytest.raises(ValueError) as exc:
+                check_number("x", value, lo, hi, open=is_open)
+            assert str(exc.value) == f"x: expected a value in {expected}, got {value!r}"
 
 
 @pytest.mark.parametrize(
@@ -167,8 +185,11 @@ def test_numpy_integers_pass_the_integer_rule():
         # the config is checked before the (2**62,) outputs would be allocated
         lambda c: symmetric_rate_mc(c, RngStream(0), 2**62),
         lambda c: zf_statistics(c, RngStream(0), 2**62),
+        # the closed form used to skip the rule: at L = 2 it returned a split
+        optimal_split_closed_form,
     ],
-    ids=["validate", "symmetric_asymptotic", "mixed_asymptotic", "symmetric_mc", "zf_statistics"],
+    ids=["validate", "symmetric_asymptotic", "mixed_asymptotic", "symmetric_mc", "zf_statistics",
+         "closed_form_split"],
 )
 @pytest.mark.parametrize(
     "overrides, key",

@@ -372,6 +372,8 @@ def test_cli_check_passes(capsys):
         ("fig2", '{"K": [9223372036854775808]}', "K"),
         ("sweep", '{"L": 9223372036854775808}', "L"),
         ("sweep", '{"scheme": 5}', "scheme"),
+        # an integer too large for a float, which float() would overflow on
+        ("split", '{"m": 1' + "0" * 400 + "}", "m"),
     ],
 )
 def test_cli_rejects_bad_config_values(command, config, key, tmp_path, capsys, monkeypatch):
@@ -420,7 +422,7 @@ def test_selection_sweeps_check_m_before_any_point(command, m, tmp_path, capsys,
     path = tmp_path / "config.json"
     path.write_text(json.dumps({"m": m}))
     assert main([command, "--config", str(path), "--samples", "10"]) == 1
-    assert capsys.readouterr().err == f"error: m: selection requires 0 < m < 1, got {m}\n"
+    assert capsys.readouterr().err == f"error: m: expected a value in (0, 1), got {m}\n"
 
 
 def _selection_config(**overrides):

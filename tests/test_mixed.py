@@ -34,7 +34,7 @@ def test_non_finite_rates_fail_by_their_power():
     for values in ([1.0, math.inf], [math.nan, 2.0], [-math.inf]):
         with pytest.raises(ValueError, match=r"^P_dB: "):
             RateEstimate.from_values(np.array(values))
-    with pytest.raises(ValueError, match=r"^need at least one sample$"):
+    with pytest.raises(ValueError, match=r"^samples: need at least one sample$"):
         RateEstimate.from_values(np.array([]))
     for common, private in ((math.inf, 1.0), (1.0, math.nan)):
         with pytest.raises(ValueError, match=r"^P_dB: "):
@@ -237,10 +237,10 @@ def test_closed_form_oracle_value():
 
 def test_closed_form_guards():
     blind = cfg(K=100, nt=100, s2=1.0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^sigma2: "):
         optimal_split_closed_form(blind)
     # a full cache sends no multicast load: numerator and denominator both vanish
-    with pytest.raises(ValueError, match=r"^degenerate split denominator"):
+    with pytest.raises(ValueError, match=r"^m: the closed-form split's denominator vanishes"):
         optimal_split_closed_form(cfg(m=1.0))
 
 

@@ -59,7 +59,7 @@ def test_rank_deficiency_raises():
         build_zf_precoder(h)
     with pytest.raises(ValueError):
         build_zf_precoder(np.ones((3, 2), dtype=complex))  # more users than antennas
-    with pytest.raises(ValueError, match=r"^estimated channel must be a \(K, nt\) matrix$"):
+    with pytest.raises(ValueError, match=r"^est_h: expected a \(K, nt\) matrix, got shape \(3,\)$"):
         build_zf_precoder(np.ones(3))
 
 

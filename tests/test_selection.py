@@ -46,15 +46,15 @@ def test_both_selection_power_entries_share_one_keyed_rule(call, power):
 def test_snr_above_probability():
     scenario = SystemConfig(num_users=3, num_tx_antennas=1, total_power=100.0)
     assert snr_above_probability(scenario, 0.0) == 1.0
-    with pytest.raises(ValueError, match="threshold: expected a number >= 0"):
+    with pytest.raises(ValueError, match=r"threshold: expected a value in \[0, inf\)"):
         snr_above_probability(scenario, -1.0)
     # NaN used to report a false "_upper_gamma_cf did not converge"
-    with pytest.raises(ValueError, match=r"^threshold: expected a number, got nan$"):
+    with pytest.raises(ValueError, match=r"^threshold: expected a value in \[0, inf\), got nan$"):
         snr_above_probability(scenario, math.nan)
     selecting = SystemConfig(
         num_users=3, num_tx_antennas=1, total_power=100.0, normalized_cache=0.1
     )
-    with pytest.raises(ValueError, match=r"^threshold: expected a number, got nan$"):
+    with pytest.raises(ValueError, match=r"^threshold: expected a value in \[0, inf\), got nan$"):
         simulated_selection_rate(selecting, math.nan, RngStream(0), 10)
     assert snr_above_probability(scenario, 50.0) == pytest.approx(math.exp(-0.5), rel=1e-10)
     # multi-antenna tail is the Gamma(nt) survival at nt*s/P
@@ -147,7 +147,7 @@ def test_empirical_threshold_validation():
     with pytest.raises(ValueError, match="L = 1"):
         empirical_optimal_threshold(multi, RngStream(0), 10, bracket=(1.0, 5.0))
     single = SystemConfig(num_users=4, num_tx_antennas=1, total_power=10.0, normalized_cache=0.1)
-    with pytest.raises(ValueError, match="threshold: expected a number >= 0"):
+    with pytest.raises(ValueError, match=r"bracket: expected a value in \[0, inf\)"):
         empirical_optimal_threshold(single, RngStream(0), 10, bracket=(-1.0, 5.0))
 
 
