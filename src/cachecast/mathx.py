@@ -17,6 +17,8 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Tuple
 
+from .channel import check_count, check_number
+
 __all__ = [
     "ToleranceSpec",
     "DEFAULT_TOL",
@@ -38,10 +40,9 @@ class ToleranceSpec:
     max_iter: int = 200
 
     def __post_init__(self) -> None:
-        if self.rel_tol <= 0.0 or self.abs_tol <= 0.0:
-            raise ValueError("tolerances must be positive")
-        if self.max_iter < 1:
-            raise ValueError("max_iter must be >= 1")
+        check_number("rel_tol", self.rel_tol, 0.0, math.inf, open=True)
+        check_number("abs_tol", self.abs_tol, 0.0, math.inf, open=True)
+        check_count("max_iter", self.max_iter)
 
 
 DEFAULT_TOL = ToleranceSpec()

@@ -33,32 +33,26 @@ __all__ = [
 
 @dataclass(frozen=True)
 class PowerSplit:
-    """Common-stream power P0 out of P, plus the interference constants.
-
-    Ic = ((nt-K+1)(1-sigma2) + (K-1) sigma2)/K scales the private-stream
-    power seen in the common-stream SINR denominator; Ip = (K-1) sigma2 / K
-    is the leakage part alone.
-    """
+    """Common-stream power P0 out of P, and the private power per user (P - P0)/K."""
 
     common_power: float
     total_power: float
     private_per_user: float
-    interference_common: float
-    interference_private: float
 
     @classmethod
     def compute(cls, cfg: SystemConfig, common_power: float) -> "PowerSplit":
         check_number("common_power", common_power, 0.0, cfg.total_power)
-        nt, K, s2 = cfg.num_tx_antennas, cfg.num_users, cfg.csit_error_var
-        ip = (K - 1) * s2 / K
-        ic = ((nt - K + 1) * (1.0 - s2) + (K - 1) * s2) / K
         return cls(
             common_power=common_power,
             total_power=cfg.total_power,
-            private_per_user=(cfg.total_power - common_power) / K,
-            interference_common=ic,
-            interference_private=ip,
+            private_per_user=(cfg.total_power - common_power) / cfg.num_users,
         )
+
+
+def _interference(cfg: SystemConfig) -> Tuple[float, float]:
+    """(Ic, Ip): the private power's weight in the common-stream SINR denominator, and its leakage part."""
+    nt, K, s2 = cfg.num_tx_antennas, cfg.num_users, cfg.csit_error_var
+    return ((nt - K + 1) * (1.0 - s2) + (K - 1) * s2) / K, (K - 1) * s2 / K
 
 
 @dataclass(frozen=True)
@@ -144,7 +138,9 @@ def _mixed_rates(cfg: SystemConfig, split: PowerSplit, stats: tuple) -> MixedRat
 def mixed_rates_mc(
     cfg: SystemConfig, split: PowerSplit, rng: RngStream, samples: int
 ) -> MixedRates:
-    """Exact MC of both flow rates under successive common-first decoding."""
+    """Exact MC of both flow rates under common-first decoding; a split not computed for cfg raises."""
+    if split != PowerSplit.compute(cfg, split.common_power):
+        raise ValueError(f"common_power: {split} is not the split of P = {cfg.total_power!r}, K = {cfg.num_users!r}")
     return _mixed_rates(cfg, split, zf_statistics(cfg, rng, samples))
 
 
@@ -157,15 +153,17 @@ def mixed_rates_asymptotic(
 ) -> MixedRates:
     """Large-system flow rates for a given split.
 
-    The private flow has a closed form.  The common flow keeps an
-    expectation over the worst-user interference sum; it is estimated with
-    a small dedicated sampler (10^4 draws of the worst of K per-user
-    leakages ~ Gamma(K-1, sigma2) on _LEAKAGE_STREAM) unless `simplified`
-    drops the maximization, which together with the private term
-    reproduces the tractable two-term objective used by the closed-form
-    split.  A config that fails `validate_zf_config` raises.
+    The private flow has a closed form.  The common flow keeps an expectation
+    over the worst-user interference sum; it is estimated with a small
+    dedicated sampler (10^4 draws of the worst of K per-user leakages ~
+    Gamma(K-1, sigma2) on _LEAKAGE_STREAM) unless `simplified` drops the
+    maximization, which together with the private term reproduces the tractable
+    two-term objective used by the closed-form split.  A config that fails
+    `validate_zf_config`, or a split not computed for cfg, raises.
     """
     validate_zf_config(cfg)
+    if split != PowerSplit.compute(cfg, split.common_power):
+        raise ValueError(f"common_power: {split} is not the split of P = {cfg.total_power!r}, K = {cfg.num_users!r}")
     nt, K, s2 = cfg.num_tx_antennas, cfg.num_users, cfg.csit_error_var
     flags: Tuple[str, ...] = ("extrapolated",) if nt == K else ()
     p = split.private_per_user
@@ -174,7 +172,7 @@ def mixed_rates_asymptotic(
         common = 0.0
     elif simplified or s2 == 0.0 or K == 1 or p == 0.0:
         common = math.log1p(
-            split.common_power / (1.0 + (split.total_power - split.common_power) * split.interference_common)
+            split.common_power / (1.0 + (split.total_power - split.common_power) * _interference(cfg)[0])
         )
     else:
         gen = _LEAKAGE_STREAM.generator()
@@ -228,8 +226,7 @@ def optimal_split_closed_form(cfg: SystemConfig) -> float:
     K, s2, P, m = cfg.num_users, cfg.csit_error_var, cfg.total_power, cfg.normalized_cache
     if s2 == 1.0:
         raise ValueError(f"sigma2: the closed-form split needs an informative estimate (sigma2 < 1), got {s2!r}")
-    split = PowerSplit.compute(cfg, 0.0)
-    ic, ip = split.interference_common, split.interference_private
+    ic, ip = _interference(cfg)
     load = transmissions(cfg.placement, m, K)
     num = -(1.0 - m) * (1.0 + ic * P) + load * (ic - ip) * (1.0 + P)
     den = (1.0 - m) * ip * (1.0 + ic * P) - load * ic * (ic - ip)

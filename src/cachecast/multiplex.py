@@ -78,12 +78,15 @@ def zf_beams(est: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     est^H (est est^H)^-1.  With nt = K that inverse is est^-1 (LU).  With
     nt > K it is Q R^-H for the reduced QR est^H = Q R, which avoids the
     Gram matrix est est^H and so does not square the condition number.
-    Raises ValueError when nt < K or when some draw's rows are numerically
-    dependent (a gain below _RANK_RTOL times that draw's largest entry).
+    Raises ValueError when nt < K, on a NaN or inf entry, or when a draw's
+    rows are numerically dependent (a gain below _RANK_RTOL times its largest entry).
     """
     est = np.asarray(est, dtype=np.complex128)
     K, nt = est.shape[-2:]
     _check_nt(K, nt)
+    scale = np.abs(est).max(axis=(-2, -1))
+    if not np.isfinite(scale).all():
+        raise ValueError("est: expected finite entries, got a NaN or inf")
     try:
         if nt == K:
             w = np.linalg.inv(est)
@@ -93,7 +96,6 @@ def zf_beams(est: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     except np.linalg.LinAlgError as exc:
         raise ValueError("estimated rows are numerically rank deficient") from exc
     gain = 1.0 / np.linalg.norm(w, axis=-2)
-    scale = np.abs(est).max(axis=(-2, -1))
     if np.any(gain < _RANK_RTOL * scale[..., None]):
         raise ValueError("estimated rows are numerically rank deficient")
     w *= gain[..., None, :]

@@ -22,6 +22,10 @@ def test_tolerance_spec_validation():
         ToleranceSpec(rel_tol=-1.0, abs_tol=1e-12, max_iter=10)
     with pytest.raises(ValueError):
         ToleranceSpec(rel_tol=1e-12, abs_tol=1e-12, max_iter=0)
+    bad = [(key, v) for key in ("rel_tol", "abs_tol") for v in (math.nan, math.inf, True, 0.0)]
+    for key, value in bad + [("max_iter", 2.5), ("max_iter", True)]:
+        with pytest.raises(ValueError, match=f"^{key}: "):
+            ToleranceSpec(**{key: value})
 
 
 def test_lambert_w_inverse_identity():

@@ -46,13 +46,37 @@ def test_non_finite_rates_fail_by_their_power():
 def test_power_split_constants():
     scenario = cfg(K=100, nt=100, P=1000.0, s2=0.1)
     split = PowerSplit.compute(scenario, 400.0)
-    assert split.interference_common == pytest.approx(0.108)
-    assert split.interference_private == pytest.approx(0.099)
+    ic, ip = mixed._interference(scenario)
+    assert ic == pytest.approx(0.108)
+    assert ip == pytest.approx(0.099)
     assert split.private_per_user == pytest.approx(6.0)
     with pytest.raises(ValueError):
         PowerSplit.compute(scenario, -1.0)
     with pytest.raises(ValueError):
         PowerSplit.compute(scenario, 1001.0)
+
+
+@pytest.mark.filterwarnings("error")
+def test_split_built_for_another_power_fails_by_key():
+    scenario = SystemConfig(num_users=2, num_tx_antennas=3, total_power=10.0, csit_error_var=0.3)
+    other = PowerSplit.compute(replace(scenario, total_power=1000.0, csit_error_var=0.0), 500.0)
+    with pytest.raises(ValueError, match="^common_power: "):
+        mixed_rates_asymptotic(scenario, other)
+    with pytest.raises(ValueError, match="^common_power: "):
+        mixed_rates_mc(scenario, other, RngStream(0), 10)
+    # in range but split over another P or K: the same key
+    for cfg_other in (replace(scenario, total_power=20.0), replace(scenario, num_users=3)):
+        with pytest.raises(ValueError, match=r"^common_power: PowerSplit\(.*\) is not the split of P = 10.0, K = 2$"):
+            mixed_rates_asymptotic(scenario, PowerSplit.compute(cfg_other, 5.0))
+
+
+@pytest.mark.filterwarnings("error")
+def test_split_reads_no_csit_error():
+    # a split holds (P, K, P0) values only, so one built at sigma2 = 0 is the sigma2 = 0.3 split
+    scenario = SystemConfig(num_users=2, num_tx_antennas=3, total_power=10.0, csit_error_var=0.3)
+    split = PowerSplit.compute(replace(scenario, csit_error_var=0.0), 5.0)
+    assert split == PowerSplit.compute(scenario, 5.0)
+    assert mixed_rates_asymptotic(scenario, split, simplified=True).total == 2.866274206317104
 
 
 def test_endpoint_reductions_bit_exact():

@@ -92,6 +92,15 @@ def test_zf_beams_rank_deficient_draw_raises(shape, eps):
     zf_beams(np.delete(est, 3, axis=0))  # the other draws are fine
 
 
+@pytest.mark.parametrize("build", [zf_beams, build_zf_precoder])
+def test_zf_non_finite_estimate_fails_by_key(build):
+    inf_entry = np.eye(2, 3, dtype=complex)
+    inf_entry[1, 2] = np.inf
+    for est in (np.full((2, 2), np.nan + 0j), inf_entry):
+        with pytest.raises(ValueError, match="^est: expected finite entries"):
+            build(est)
+
+
 def test_zf_stats_perfect_csit_reads_gain_from_kernel():
     scenario = cfg(8, 8, 8.0)
     _, g2, inter = zf_stats(scenario, RngStream(43).generator(), 200)
