@@ -36,9 +36,6 @@ __all__ = [
 
 PLACEMENTS = ("centralized", "decentralized")
 
-# recursion guard for exact_min_mean; beyond this the sum has too many terms
-MAX_EXACT_MIN_TERMS = 200
-
 # target scalar draws per batch, shared by every estimator so that paired-seed
 # runs of different modules consume the stream identically
 _BATCH_TARGET = 4_000_000
@@ -302,33 +299,21 @@ def min_norm_statistic(
 
 
 def exact_min_mean(nt: int, num_users: int) -> float:
-    """Exact E[min_k ||H_k||^2 / nt] via the power-series expansion.
+    """Exact E[min_k ||H_k||^2 / nt]: the integral of the survival function (exp(-y) f(y))^K over y = nt * x.
 
-    The survival function of the minimum is exp(-K*y) * f(y)^K with
-    f(y) = sum_{j<nt} y^j / j! and y = nt*x; integrating termwise gives
-    (1/nt) * sum_i c_i * i! * K^(-i-1) where c_i are the series coefficients
-    of f^K, computed with the power-of-a-series recurrence
-    c_i = (1/i) * sum_j ((K+1) j - i) / j! * c_{i-j}.  Exact rationals keep
-    the alternating-sign cancellation lossless.
+    f(y) = sum_{j<nt} y^j / j! by Horner; past its float range, from about
+    nt = 450, it raises by nt.
     """
-    from fractions import Fraction  # loaded on use, with decimal: of the commands only `check` runs this
+    from .mathx import tail_integral  # mathx imports this module's rules
     check_count("nt", nt)
     check_count("K", num_users)
-    K = num_users
-    n_terms = K * (nt - 1)
-    if n_terms > MAX_EXACT_MIN_TERMS:
-        raise ValueError(
-            f"K*(nt-1) = {n_terms} exceeds the stability guard {MAX_EXACT_MIN_TERMS}"
-        )
-    coeffs = [Fraction(0)] * (n_terms + 1)
-    coeffs[0] = Fraction(1)
-    for i in range(1, n_terms + 1):
-        acc = Fraction(0)
-        for j in range(1, min(i, nt - 1) + 1):
-            acc += Fraction((K + 1) * j - i, math.factorial(j)) * coeffs[i - j]
-        coeffs[i] = acc / i
-    total = sum(
-        c * Fraction(math.factorial(i)) / Fraction(K) ** (i + 1)
-        for i, c in enumerate(coeffs)
-    )
-    return float(total) / nt
+
+    def tail(y: float) -> float:
+        f = 1.0
+        for j in range(nt - 1, 0, -1):
+            f = 1.0 + f * y / j
+        if math.isinf(f):
+            raise ValueError(f"nt: {nt!r} antennas put the worst-user mean past the float range")
+        return math.exp(num_users * (math.log(f) - y))
+
+    return tail_integral(lambda y: 1.0, tail, nt) / nt

@@ -16,7 +16,7 @@ import numpy as np
 
 from .caching import delivery_rate_multicast, delivery_rate_unicast, transmissions
 from .channel import RngStream, SystemConfig, check_count, check_number
-from .mathx import DEFAULT_TOL, ToleranceSpec, maximize_1d
+from .mathx import DEFAULT_TOL, ToleranceSpec, maximize_1d, reg_lower_gamma, tail_integral
 from .multiplex import private_rate_values, validate_zf_config, zf_statistics
 from .results import check_finite_rates, rates_overflow_by_power
 
@@ -144,22 +144,18 @@ def mixed_rates_mc(
     return _mixed_rates(cfg, split, zf_statistics(cfg, rng, samples))
 
 
-# the stream of mixed_rates_asymptotic's worst-user leakage sampler
-_LEAKAGE_STREAM = RngStream(0)
-
-
 def mixed_rates_asymptotic(
     cfg: SystemConfig, split: PowerSplit, simplified: bool = False
 ) -> MixedRates:
     """Large-system flow rates for a given split.
 
     The private flow has a closed form.  The common flow keeps an expectation
-    over the worst-user interference sum; it is estimated with a small
-    dedicated sampler (10^4 draws of the worst of K per-user leakages ~
-    Gamma(K-1, sigma2) on _LEAKAGE_STREAM) unless `simplified` drops the
+    over the worst of K per-user leakages sigma2 * Gamma(K-1, 1), integrated
+    from its survival function 1 - P(K-1, u)^K, unless `simplified` drops the
     maximization, which together with the private term reproduces the tractable
     two-term objective used by the closed-form split.  A config that fails
-    `validate_zf_config`, or a split not computed for cfg, raises.
+    `validate_zf_config`, a split not computed for cfg, or K past the
+    incomplete gamma's reach (about 1e5) raises.
     """
     validate_zf_config(cfg)
     if split != PowerSplit.compute(cfg, split.common_power):
@@ -175,9 +171,16 @@ def mixed_rates_asymptotic(
             split.common_power / (1.0 + (split.total_power - split.common_power) * _interference(cfg)[0])
         )
     else:
-        gen = _LEAKAGE_STREAM.generator()
-        leak = gen.gamma(K - 1, scale=s2, size=(10_000, K)).max(axis=1)
-        common = float(np.log1p(split.common_power / (1.0 + p * (gain + leak))).mean())
+        # E[g(U)] = g(0) + integral of g' * tail, U the worst leakage over sigma2, g(u) = ln(1 + c / (b + s u))
+        b, c, s = 1.0 + p * gain, split.common_power, p * s2
+
+        def tail(u: float) -> float:
+            try:
+                return 1.0 - reg_lower_gamma(K - 1, u) ** K
+            except ValueError as err:
+                raise ValueError(f"K: {K!r} users are past the worst-user leakage's reach") from err
+
+        common = math.log1p(c / b) + tail_integral(lambda u: -s * c / ((b + s * u) * (b + s * u + c)), tail, K - 1)
     private = 0.0 if p == 0.0 else math.log1p(gain / (1.0 / p + (K - 1) * s2))
     return MixedRates.compose(cfg, common, private, flags=flags)
 

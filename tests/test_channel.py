@@ -4,6 +4,7 @@ import warnings
 
 import numpy as np
 import pytest
+from scipy import integrate, special
 
 from cachecast import channel
 from cachecast.caching import (
@@ -54,6 +55,7 @@ def test_config_validation():
 
 
 _OK = dict(num_users=2, num_tx_antennas=2, total_power=1.0)
+_HUGE = SystemConfig(num_users=10**5, num_tx_antennas=10**5, total_power=1e7, csit_error_var=0.01)
 
 
 @pytest.mark.parametrize(
@@ -148,13 +150,19 @@ def test_the_number_rule_prints_its_range():
         # a NaN power used to pass db_to_linear
         (lambda: run_sweep(samples=10, num_users=2, p_db_grid=(math.nan,)), "P_dB"),
         (lambda: run_fig1(samples=10, k_grid=(20,), p_db_grid=(math.nan,)), "P_dB"),
+        # past the float range of the survival function's series (it returned NaN at nt = 450)
+        (lambda: exact_min_mean(450, 1), "nt"),
+        (lambda: exact_min_mean(10**4, 2), "nt"),
+        # past the incomplete gamma's series reach, near shape = x = 1e5
+        (lambda: mixed_rates_asymptotic(_HUGE, PowerSplit.compute(_HUGE, _HUGE.total_power / 2)), "K"),
     ],
     ids=["transmissions-K", "transmissions-m", "unicast-m", "selection-samples", "selection-m",
          "sample_batches", "min_norm-nt", "min_norm-K", "exact_min-nt", "exact_min-K",
          "quasistatic-L", "config-float-K", "config-bool-K", "fig1-float-K", "parallel-float-samples",
          "min_norm-float-nt", "exact_min-float-nt", "zf_precoder-nt", "stream-float-seed",
          "stream-bool-seed", "stream-float-id", "derive-float-index", "transmissions-placement",
-         "sweep-nan-P_dB", "fig1-nan-P_dB"],
+         "sweep-nan-P_dB", "fig1-nan-P_dB", "exact_min-float-range-nt", "exact_min-huge-nt",
+         "mixed_asymptotic-huge-K"],
 )
 def test_library_entry_points_fail_by_key(call, key):
     with warnings.catch_warnings():
@@ -462,9 +470,14 @@ def test_exact_min_mean_known_values():
     assert exact_min_mean(3, 4) == pytest.approx(0.488677978515625, abs=1e-12)
 
 
-def test_exact_min_mean_guard():
-    with pytest.raises(ValueError):
-        exact_min_mean(5, 100)
+@pytest.mark.parametrize("nt, K", [(5, 100), (2, 300), (8, 1000)])
+def test_exact_min_mean_matches_quad_past_the_old_series_guard(nt, K):
+    # K(nt - 1) > 200, where the exact-rational series used to raise
+    mean_y, _ = integrate.quad(
+        lambda y: special.gammaincc(nt, y) ** K, 0.0, special.gammainccinv(nt, 1e-17 ** (1.0 / K)),
+        points=[special.gammainccinv(nt, 0.5 ** (1.0 / K))], limit=200, epsabs=1e-16, epsrel=1e-13,
+    )
+    assert exact_min_mean(nt, K) == pytest.approx(mean_y / nt, abs=1e-12)
 
 
 def test_min_norm_statistic_matches_exact_mean():

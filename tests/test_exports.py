@@ -24,7 +24,7 @@ def test_every_exported_name_resolves(module):
 def test_importing_the_cli_loads_no_scipy():
     # every command's start-up pays for its imports, and scipy (about 0.27 s
     # to import) is a test dependency only: no cachecast module may load it.
-    # fractions (with decimal, about 2 ms) is loaded only when `check` needs it
+    # Nor may one load fractions (with decimal, about 2 ms).
     src = str(Path(cachecast.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
     code = (

@@ -14,6 +14,7 @@ from cachecast.mathx import (
     maximize_1d,
     reg_lower_gamma,
     reg_upper_gamma,
+    tail_integral,
 )
 
 
@@ -135,6 +136,34 @@ def test_special_functions_stay_far_from_their_iteration_caps(monkeypatch):
     expected = [fn(*args) for fn, *args in calls]
     monkeypatch.setattr(mathx, "DEFAULT_TOL", ToleranceSpec(max_iter=DEFAULT_TOL.max_iter // 10))
     assert [fn(*args) for fn, *args in calls] == expected
+
+
+@pytest.mark.parametrize("start", [1e-6, 1.0, 1e6])
+def test_tail_integral_of_an_exponential_tail_is_its_mean(start):
+    # far below or far above the tail's spread, doubling and halving find it
+    assert tail_integral(lambda y: 1.0, lambda y: math.exp(-y), start) == pytest.approx(1.0, abs=1e-14)
+
+
+def test_tail_integral_of_a_narrow_minimum():
+    # the minimum of 1e6 unit exponentials: a range cut only by doubling
+    # from 1 would leave the whole tail inside the first panel
+    mean = tail_integral(lambda y: 1.0, lambda y: math.exp(-1e6 * y), 1.0)
+    assert mean == pytest.approx(1e-6, rel=1e-12)
+
+
+def test_tail_integral_weights_the_tail():
+    # E[Y^2] = 2 for Y ~ Exp(1): g(0) = 0 and g'(y) = 2y
+    assert tail_integral(lambda y: 2.0 * y, lambda y: math.exp(-y), 1.0) == pytest.approx(2.0, rel=1e-13)
+    # Y = 0: halving stops at a zero range rather than looping there
+    assert tail_integral(lambda y: 1.0, lambda y: 0.0, 1.0) == 0.0
+
+
+def test_tail_integral_rejects_a_tail_that_never_drops_and_a_bad_start():
+    with pytest.raises(ValueError, match=r"^tail_integral: the tail does not drop below 1e-18"):
+        tail_integral(lambda y: 1.0, lambda y: 1.0, 1.0)
+    for start in (0.0, -1.0, math.inf, math.nan):
+        with pytest.raises(ValueError, match=r"^start: "):
+            tail_integral(lambda y: 1.0, lambda y: math.exp(-y), start)
 
 
 def test_maximize_1d_quadratic():

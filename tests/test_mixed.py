@@ -1,14 +1,18 @@
+import importlib
 import math
+import pkgutil
 from collections import Counter
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy import integrate, stats
 
+import cachecast
 from cachecast import mixed
 from cachecast.caching import transmissions
 from cachecast.channel import RngStream, SystemConfig, sample_batches, scalars_per_draw
-from cachecast.experiments import run_fig3_4_5
+from cachecast.experiments import fig345_config, run_fig3_4_5
 from cachecast.mathx import maximize_1d
 from cachecast.mixed import (
     MixedRates,
@@ -232,6 +236,52 @@ def test_asymptotic_max_term_costs_rate():
     dropped = mixed_rates_asymptotic(scenario, split, simplified=True)
     assert kept.common_rate < dropped.common_rate
     assert kept.common_rate == pytest.approx(dropped.common_rate, rel=0.2)
+
+
+@pytest.mark.parametrize(
+    "scenario, common_power",
+    [
+        (fig345_config(10.0, 0.05), None),
+        (fig345_config(20.0, 0.3), None),
+        (SystemConfig(num_users=2, num_tx_antennas=3, total_power=10.0, csit_error_var=0.3), 5.0),
+    ],
+    ids=["fig3-10dB", "fig3-20dB", "small"],
+)
+def test_asymptotic_worst_leakage_matches_quad(scenario, common_power):
+    # E[ln(1 + P0 / (1 + p (gain + sigma2 U)))] over the density of U, the
+    # largest of K i.i.d. Gamma(K - 1, 1), against the integrated survival function
+    K, nt, s2, P = (scenario.num_users, scenario.num_tx_antennas, scenario.csit_error_var,
+                    scenario.total_power)
+    p0 = P / 2 if common_power is None else common_power
+    p, gain = (P - p0) / K, (nt - K + 1) * (1.0 - s2)
+    leak = stats.gamma(K - 1)
+
+    def integrand(u):
+        density = K * leak.cdf(u) ** (K - 1) * leak.pdf(u)
+        return math.log1p(p0 / (1.0 + p * (gain + s2 * u))) * density
+
+    expected, _ = integrate.quad(integrand, 0.0, leak.isf(1e-17 / K), points=[K - 1.0], limit=500,
+                                 epsabs=1e-14, epsrel=1e-12)
+    rates = mixed_rates_asymptotic(scenario, PowerSplit.compute(scenario, p0))
+    assert rates.common_rate == pytest.approx(expected, abs=1e-9)
+
+
+def test_asymptotic_rates_draw_nothing(monkeypatch):
+    def no_stream(self):
+        raise AssertionError(f"{self} drew")
+
+    monkeypatch.setattr(RngStream, "generator", no_stream)
+    scenario = fig345_config(10.0, 0.05)
+    rates = mixed_rates_asymptotic(scenario, PowerSplit.compute(scenario, scenario.total_power / 2))
+    assert math.isfinite(rates.common_rate) and rates.common_rate > 0.0
+
+
+@pytest.mark.parametrize("module", [m.name for m in pkgutil.iter_modules(cachecast.__path__)])
+def test_no_module_holds_a_stream(module):
+    # a module-level stream is shared by every caller, whatever their seed:
+    # the seed-0 leakage sampler's key was the key of `split --seed 0`
+    mod = importlib.import_module(f"cachecast.{module}")
+    assert not [name for name, value in vars(mod).items() if isinstance(value, RngStream)]
 
 
 def test_numeric_split_deterministic_and_saturation():
