@@ -171,7 +171,7 @@ def selection_rate_samples(
     value is the same float either way.
     """
     check_number("threshold", threshold, 0.0, math.inf)
-    check_number("m", m, open=True)
+    _check_selection_cache(m)
     counts = draws.binomial(num_users, above_prob)
     log_term = math.log1p(threshold)
     lo = int(counts.min())
@@ -179,6 +179,12 @@ def selection_rate_samples(
     if width < draws.samples:
         return _selection_rates(m, np.arange(lo, lo + width), log_term)[counts - lo], counts
     return _selection_rates(m, counts, log_term), counts
+
+
+def _check_selection_cache(m) -> None:
+    check_number("m", m, open=True)
+    if 1.0 - m == 1.0:  # the decentralized load of a selection would be 0/0
+        raise ValueError(f"m: expected a value whose 1 - m rounds below 1, got {m!r}")
 
 
 def _selection_rates(m: float, counts: np.ndarray, log_term: float) -> np.ndarray:

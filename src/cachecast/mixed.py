@@ -49,6 +49,11 @@ class PowerSplit:
         )
 
 
+def _check_split(cfg: SystemConfig, split: PowerSplit) -> None:
+    if split != PowerSplit.compute(cfg, split.common_power):
+        raise ValueError(f"common_power: {split} is not the split of P = {cfg.total_power!r}, K = {cfg.num_users!r}")
+
+
 def _interference(cfg: SystemConfig) -> Tuple[float, float]:
     """(Ic, Ip): the private power's weight in the common-stream SINR denominator, and its leakage part."""
     nt, K, s2 = cfg.num_tx_antennas, cfg.num_users, cfg.csit_error_var
@@ -139,8 +144,7 @@ def mixed_rates_mc(
     cfg: SystemConfig, split: PowerSplit, rng: RngStream, samples: int
 ) -> MixedRates:
     """Exact MC of both flow rates under common-first decoding; a split not computed for cfg raises."""
-    if split != PowerSplit.compute(cfg, split.common_power):
-        raise ValueError(f"common_power: {split} is not the split of P = {cfg.total_power!r}, K = {cfg.num_users!r}")
+    _check_split(cfg, split)
     return _mixed_rates(cfg, split, zf_statistics(cfg, rng, samples))
 
 
@@ -158,8 +162,7 @@ def mixed_rates_asymptotic(
     incomplete gamma's reach (about 1e5) raises.
     """
     validate_zf_config(cfg)
-    if split != PowerSplit.compute(cfg, split.common_power):
-        raise ValueError(f"common_power: {split} is not the split of P = {cfg.total_power!r}, K = {cfg.num_users!r}")
+    _check_split(cfg, split)
     nt, K, s2 = cfg.num_tx_antennas, cfg.num_users, cfg.csit_error_var
     flags: Tuple[str, ...] = ("extrapolated",) if nt == K else ()
     p = split.private_per_user

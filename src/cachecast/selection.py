@@ -16,7 +16,7 @@ import math
 from dataclasses import dataclass
 from typing import Tuple
 
-from .caching import SelectedCounts, selection_rate_samples
+from .caching import SelectedCounts, _check_selection_cache, selection_rate_samples
 from .channel import RngStream, SystemConfig, check_number, check_quasistatic
 from .mathx import ToleranceSpec, lambert_w, maximize_1d, reg_upper_gamma
 from .results import RateEstimate
@@ -55,8 +55,8 @@ def snr_above_probability(cfg: SystemConfig, threshold: float) -> float:
 
 
 def validate_selection_config(cfg: SystemConfig) -> None:
-    """The one threshold-selection scenario rule, keyed: 0 < m < 1 on the quasi-static channel."""
-    check_number("m", cfg.normalized_cache, open=True)
+    """The one threshold-selection scenario rule, keyed: 0 < m < 1 with 1 - m < 1, on the quasi-static channel."""
+    _check_selection_cache(cfg.normalized_cache)
     check_quasistatic(cfg, "selection")
 
 

@@ -217,10 +217,10 @@ def test_cli_looks_up_the_runner_when_the_command_runs(monkeypatch, capsys):
 
 
 def test_property_suite_passes_on_reference_seed():
-    report = run_property_suite(seed=42)
-    failed = [c.name for c in report.checks if not c.passed]
-    assert report.all_passed, f"failed checks: {failed}"
-    assert len(report.checks) >= 8
+    checks = run_property_suite(seed=42)
+    failed = [c.name for c in checks if not c.passed]
+    assert not failed, f"failed checks: {failed}"
+    assert len(checks) >= 8
 
 
 def test_cli_threshold_and_exit_codes(tmp_path, capsys):
@@ -416,13 +416,15 @@ def test_a_rate_that_overflows_fails_by_its_power(command, config, tmp_path, cap
 
 
 @pytest.mark.parametrize("command", ["fig1", "fig2"])
-@pytest.mark.parametrize("m", [0.0, 1.0])
+@pytest.mark.parametrize("m", [0.0, 1.0, 1e-17])
 def test_selection_sweeps_check_m_before_any_point(command, m, tmp_path, capsys, monkeypatch):
+    # an m that 1 - m cannot resolve would make the decentralized load 0/0
     monkeypatch.setattr(experiments, "_sweep", lambda *a: pytest.fail("a point ran"))
     path = tmp_path / "config.json"
     path.write_text(json.dumps({"m": m}))
     assert main([command, "--config", str(path), "--samples", "10"]) == 1
-    assert capsys.readouterr().err == f"error: m: expected a value in (0, 1), got {m}\n"
+    expected = "whose 1 - m rounds below 1" if m == 1e-17 else "in (0, 1)"
+    assert capsys.readouterr().err == f"error: m: expected a value {expected}, got {m}\n"
 
 
 def _selection_config(**overrides):
@@ -442,12 +444,15 @@ def _selection_config(**overrides):
         (lambda: selection.empirical_optimal_threshold(
             _selection_config(normalized_cache=1.0), RngStream(0), 10, (1.0, 5.0)), "m"),
         (lambda: selection.simulated_selection_rate(
+            _selection_config(normalized_cache=1e-17), 1.0, RngStream(0), 10), "m"),
+        (lambda: caching.delivery_rate_selection(1e-17, 1.0, 10.0, 4, RngStream(0), 10), "m"),
+        (lambda: selection.simulated_selection_rate(
             _selection_config(num_subchannels=2), 1.0, RngStream(0), 10), "L"),
         (lambda: selection.empirical_optimal_threshold(
             _selection_config(num_subchannels=2), RngStream(0), 10, (1.0, 5.0)), "L"),
     ],
-    ids=["fig1-K", "fig2-K", "fig1-m", "fig2-m", "simulated-m", "empirical-m", "simulated-L",
-         "empirical-L"],
+    ids=["fig1-K", "fig2-K", "fig1-m", "fig2-m", "simulated-m", "empirical-m",
+         "simulated-m-unresolved", "delivery-m-unresolved", "simulated-L", "empirical-L"],
 )
 def test_selection_scenarios_fail_by_key_before_any_point(call, key, monkeypatch):
     # the runners build and check every point before the pool, and the two
